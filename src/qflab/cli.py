@@ -1,6 +1,7 @@
 """Command line driver.
 
-Exit codes: 0 all checks pass, 1 verification mismatch, 2 usage error.
+Exit codes: 0 all checks pass, 1 verification mismatch, 2 usage error,
+3 request beyond the int64 capacity of the theta engine.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except OverflowError as exc:
+        print(f"error: request exceeds the int64 capacity limit of the "
+              f"theta engine ({exc})", file=sys.stderr)
+        return 3
     except (ValueError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

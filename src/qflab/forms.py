@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from ._matrix import conjugate, hnf_basis, int_det, integer_kernel
 
@@ -220,8 +220,7 @@ def congruence_sublattice(form: QuadForm, system: CongruenceSystem) -> QuadForm:
 def sublattice_index(form: QuadForm, sub: QuadForm) -> int:
     """Index of a sublattice recovered from the discriminant ratio."""
     ratio = sub.discriminant // form.discriminant
-    root = int(round(ratio ** 0.5))
-    for cand in (root - 1, root, root + 1):
-        if cand > 0 and cand * cand == ratio:
-            return cand
+    root = isqrt(max(ratio, 0))
+    if root > 0 and root * root == ratio:
+        return root
     raise ValueError("discriminant ratio is not a perfect square")

@@ -19,6 +19,7 @@ from .arith import h_factor
 from .forms import QuadForm
 from .reduction import is_isometric
 from .regularity import RegularityReport, is_strongly_s_regular
+from .theta import _theta_unary
 
 
 @dataclass(frozen=True)
@@ -74,16 +75,7 @@ class _PairTheta:
 
     def __init__(self, c_max: int, prec: int):
         self.prec = prec
-        squares = {}
-        for a in range(1, c_max + 1):
-            arr = np.zeros(prec + 1, dtype=np.int64)
-            arr[0] = 1
-            t = 1
-            while a * t * t <= prec:
-                arr[a * t * t] = 2
-                t += 1
-            squares[a] = arr
-        self._unary = squares
+        self._unary = {a: _theta_unary(a, prec) for a in range(1, c_max + 1)}
         self._pairs: dict[tuple[int, int], np.ndarray] = {}
 
     def pair(self, a: int, b: int) -> np.ndarray:

@@ -17,6 +17,10 @@ from .forms import QuadForm
 
 _FLUSH = 1 << 21
 _INT64_GUARD = 1 << 62
+# _convolve_trunc path choice and chunk size, see its docstring
+_SPARSE_MIN_WORK = 1 << 20
+_SPARSE_DENSITY = 16
+_PAIR_CHUNK = 1 << 17
 
 
 def _ldl(h):
@@ -126,27 +130,71 @@ def _theta_sweep(h, prec: int) -> np.ndarray:
     return counts
 
 
-def _nonzero_items(arr: np.ndarray):
-    idx = np.flatnonzero(arr)
-    return [(int(i), int(arr[i])) for i in idx]
-
-
 def _convolve_trunc(a: np.ndarray, b: np.ndarray, prec: int) -> np.ndarray:
-    """Truncated product of two coefficient arrays, sparse-aware."""
+    """Truncated product of two coefficient arrays, exact.
+
+    With a the longer factor and top = min(len(a) - 1, prec), one of two
+    int64 paths gives the result:
+
+    - shift-add: out[i:] += b_i * a once per nonzero b_i, about
+      nnz(b) * (top + 1) element operations;
+    - sparse product: every pair of nonzeros a_j, b_i is scattered into
+      out[i + j], nnz(a) * nnz(b) pairs (see _convolve_sparse).
+
+    The sparse product is taken when the shift-add work
+    nnz(b) * (top + 1) is at least _SPARSE_MIN_WORK and at most one
+    entry in _SPARSE_DENSITY of a[:top + 1] is nonzero.  The work test
+    uses sizes already at hand, so the many small products (search
+    halves at precision 2,500) stay on the loop and never pay for the
+    nonzero scan of a, nor for the fixed cost of np.add.at.  For two
+    unary thetas the nonzero pairs are the lattice points of the binary
+    form up to sign, so a two-unary half costs O(N) instead of
+    O(N^1.5).  Products whose coefficients could reach _INT64_GUARD go
+    to the Python-int _convolve_object before either path.
+    """
     if len(a) < len(b):
         a, b = b, a
-    items = _nonzero_items(b)
-    bound = int(np.abs(a).max(initial=0)) * sum(abs(v) for _, v in items)
+    idx = np.flatnonzero(b)
+    vals = b[idx]
+    bound = (int(np.abs(a).max(initial=0))
+             * sum(abs(v) for v in vals.tolist()))
     if bound >= _INT64_GUARD:
         return _convolve_object(a, b, prec)
-    out = np.zeros(prec + 1, dtype=np.int64)
     top = min(len(a) - 1, prec)
-    for idx, val in items:
-        if idx > prec:
+    if len(idx) * (top + 1) >= _SPARSE_MIN_WORK:
+        nz = np.flatnonzero(a[:top + 1])
+        if len(nz) * _SPARSE_DENSITY <= top + 1:
+            keep = idx <= prec
+            return _convolve_sparse(nz, a[nz], idx[keep], vals[keep], prec)
+    out = np.zeros(prec + 1, dtype=np.int64)
+    for i, val in zip(idx.tolist(), vals.tolist()):
+        if i > prec:
             break
-        stop = min(top, prec - idx)
-        out[idx:idx + stop + 1] += val * a[:stop + 1]
+        stop = min(top, prec - i)
+        out[i:i + stop + 1] += val * a[:stop + 1]
     return out
+
+
+def _convolve_sparse(ia, va, ib, vb, prec):
+    """Truncated product of two sparse series given by sorted nonzero
+    indices and values: out[i + j] += vb * va over all pairs.
+
+    Rows of b are taken in chunks of about _PAIR_CHUNK pairs, so no
+    temporary holds more than that many int64s.  Columns past
+    prec - (first row index) are dropped; the remaining sums past prec
+    land in a spill slot out[prec + 1], cut off at the end.
+    """
+    out = np.zeros(prec + 2, dtype=np.int64)
+    if len(ia) == 0:
+        return out[:-1]
+    rows = max(1, _PAIR_CHUNK // len(ia))
+    for lo in range(0, len(ib), rows):
+        cols = int(np.searchsorted(ia, prec - ib[lo], side="right"))
+        pos = np.add.outer(ib[lo:lo + rows], ia[:cols])
+        np.minimum(pos, prec + 1, out=pos)
+        np.add.at(out, pos.ravel(),
+                  np.multiply.outer(vb[lo:lo + rows], va[:cols]).ravel())
+    return out[:-1]
 
 
 def _convolve_object(a, b, prec):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qflab import cli
 from qflab.cli import main
 
 
@@ -41,6 +42,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["sreg"])  # missing --form
         assert exc.value.code == 2
+
+    def test_capacity_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def overflow(args):
+            raise OverflowError("theta convolution would exceed int64")
+
+        monkeypatch.setattr(cli, "_dispatch", overflow)
+        code, out, err = run_cli(capsys, "sreg", "--form", "1,2,3,10")
+        assert code == 3 and out == ""
+        assert "int64 capacity limit" in err
 
     def test_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "lambda", "--form", "1,3,3,9",

@@ -103,6 +103,13 @@ class TestCongruenceSublattice:
             index = sublattice_index(base, sub)
             assert sub.discriminant == index**2 * base.discriminant
 
+    def test_index_beyond_float_precision(self):
+        k = 2**60 + 100
+        base = QuadForm.diagonal((1, 1, 1, 1))
+        assert sublattice_index(base, QuadForm.diagonal((1, 1, 1, k * k))) == k
+        with pytest.raises(ValueError):
+            sublattice_index(base, QuadForm.diagonal((1, 1, 1, k * k + 2 * k)))
+
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             CongruenceSystem(1, ((1, 0),))

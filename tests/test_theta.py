@@ -1,14 +1,18 @@
 import random
 from itertools import product
 from math import isqrt
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflab import theta
 from qflab._matrix import int_det
 from qflab.forms import QuadForm
-from qflab.theta import (RepQuery, represent_count, short_vectors,
+from qflab.theta import (RepQuery, _convolve_object, _convolve_trunc,
+                         _theta_unary, represent_count, short_vectors,
                          theta_coeffs, vectors_with_value)
 
 
@@ -169,3 +173,86 @@ class TestRepQuery:
             query.count(11)
         with pytest.raises(ValueError):
             query.count(-1)
+
+
+_dense_arrays = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=60)
+_sparse_arrays = st.lists(st.sampled_from((0,) * 8 + (1, 2, -1, -7, 10**6)),
+                          min_size=1, max_size=120)
+_coefficient_arrays = _dense_arrays | _sparse_arrays
+
+
+def _always_sparse():
+    """Lower both thresholds of the path choice so every product that
+    passes the int64 guard takes the sparse x sparse path."""
+    return mock.patch.multiple(theta, _SPARSE_MIN_WORK=0, _SPARSE_DENSITY=0)
+
+
+def _never_sparse():
+    return mock.patch.object(theta, "_SPARSE_MIN_WORK", 1 << 62)
+
+
+def _spy_sparse():
+    return mock.patch.object(theta, "_convolve_sparse",
+                             wraps=theta._convolve_sparse)
+
+
+class TestConvolveTrunc:
+    @settings(max_examples=150, deadline=None)
+    @given(_coefficient_arrays, _coefficient_arrays, st.integers(0, 200),
+           st.booleans())
+    def test_both_paths_match_object_reference(self, a, b, prec, sparse):
+        a = np.array(a, dtype=np.int64)
+        b = np.array(b, dtype=np.int64)
+        expected = [int(v) for v in _convolve_object(a, b, prec)]
+        with (_always_sparse() if sparse else _never_sparse()), \
+                _spy_sparse() as spy:
+            got = _convolve_trunc(a, b, prec)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert spy.called == sparse
+
+    @pytest.mark.parametrize("x, y, prec", [
+        (1, 1, 40000), (2, 7, 40000), (5, 3, 90001), (1, 50, 360000),
+    ])
+    def test_unary_pairs_take_sparse_path_at_default_rule(self, x, y, prec):
+        a, b = _theta_unary(x, prec), _theta_unary(y, prec)
+        with _spy_sparse() as spy:
+            got = _convolve_trunc(a, b, prec)
+        assert spy.called
+        with _never_sparse():
+            assert np.array_equal(got, _convolve_trunc(a, b, prec))
+
+    def test_small_and_dense_products_stay_on_the_loop(self):
+        small = _theta_unary(1, 2500)
+        dense = _convolve_trunc(_theta_unary(1, 40000),
+                                _theta_unary(1, 40000), 40000)
+        with _spy_sparse() as spy:
+            _convolve_trunc(small, small, 2500)
+            _convolve_trunc(dense, _theta_unary(3, 40000), 40000)
+        assert not spy.called
+
+    def test_guard_sends_large_products_to_object_path(self):
+        a = np.array([1 << 62, 0, 1 << 62], dtype=np.int64)
+        b = np.array([1, 1, 0, 1], dtype=np.int64)
+        with _always_sparse(), _spy_sparse() as spy:
+            got = _convolve_trunc(a, b, 5)
+        assert not spy.called
+        assert got.dtype == object
+        big = 1 << 62
+        assert got.tolist() == [big, big, big, 2 * big, 0, big]
+
+    def test_rep_query_on_sparse_path_matches_enumeration(self):
+        rng = random.Random(20190306)
+        prec = 40000
+        for _ in range(4):
+            diag = (1,) + tuple(sorted(rng.randint(1, 12) for _ in range(3)))
+            form = QuadForm.diagonal(diag)
+            with _spy_sparse() as spy:
+                query = RepQuery(form, prec)
+            assert spy.call_count == 2, diag
+            for m in rng.sample(range(800), 4):
+                assert query.count(m) == represent_count(form, m), (diag, m)
+            with _never_sparse():
+                loop = RepQuery(form, prec)
+            for m in rng.sample(range(prec + 1), 50):
+                assert query.count(m) == loop.count(m), (diag, m)
