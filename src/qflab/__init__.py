@@ -2,9 +2,8 @@
 forms: lattice-point counting, Watson-type transforms, eta quotients and
 the strong square-regularity property."""
 
-from .arith import (Factorization, SquareSplit, factorize, good_prime_ratio,
-                    h_factor, kronecker, local_density_good, square_split,
-                    valuation)
+from .arith import (Factorization, SquareSplit, factorize, h_factor,
+                    kronecker, local_density_good, square_split, valuation)
 from .cache import cache_theta, make_cache, resolve_cache_dir
 from .forms import (CongruenceSystem, QuadForm, congruence_sublattice,
                     parse_form, sublattice_index)
@@ -13,7 +12,7 @@ from .lattices import (GENUS_PAIRS, CLASSIFICATION_TABLE, GenusPair, Classificat
 from .qseries import (EtaQuotient, LEVEL120_QUOTIENTS, QSeries, cusp_orders,
                       divisor_character_sum, eta_expansion,
                       eta_quotient_expansion, quotient_coefficient,
-                      newman_check, series_mul, sturm_bound, theta_qseries,
+                      newman_check, sturm_bound, theta_qseries,
                       unary_theta_identities)
 from .reduction import canonical_form, is_isometric, minkowski_reduce
 from .regularity import (RegularityReport, check_indistinguishable,
@@ -21,8 +20,7 @@ from .regularity import (RegularityReport, check_indistinguishable,
                          m_s, genus_pair_identity_check,
                          theta_difference_vs_quotients)
 from .search import SearchConfig, SearchFilters, search_diagonal
-from .theta import (RepQuery, represent_count, short_vectors, theta_coeffs,
-                    vectors_with_value)
+from .theta import RepQuery, represent_count, short_vectors, theta_coeffs
 from .transforms import (JordanSymbolOdd, gamma_sublattices,
                          jordan_symbol_odd, lambda_composite,
                          lambda_transform, sublattice_on_basis,
@@ -39,17 +37,16 @@ __all__ = [
     "all_bundled_forms", "cache_theta", "canonical_form",
     "check_indistinguishable", "congruence_sublattice", "cusp_orders",
     "divisor_character_sum", "eta_expansion", "eta_quotient_expansion",
-    "factorize", "gamma_sublattices", "good_prime_ratio",
-    "h_factor", "hecke_square_recursion_check", "is_isometric",
+    "factorize", "gamma_sublattices", "h_factor",
+    "hecke_square_recursion_check", "is_isometric",
     "is_strongly_s_regular", "jordan_symbol_odd", "kronecker",
     "lambda_composite", "lambda_transform", "quotient_coefficient",
     "local_density_good", "m_s", "make_cache", "minkowski_reduce",
     "newman_check", "parse_form", "genus_pair_identity_check",
     "represent_count", "resolve_cache_dir", "run_lemma54", "run_props",
-    "run_table1", "search_diagonal", "series_mul", "short_vectors",
+    "run_table1", "search_diagonal", "short_vectors",
     "square_split", "sturm_bound", "sublattice_index",
     "sublattice_on_basis", "classification_failing", "classification_passing",
     "theta_coeffs", "theta_difference_vs_quotients", "theta_qseries",
-    "unary_theta_identities", "valuation", "vectors_with_value",
-    "watson_sublattice",
+    "unary_theta_identities", "valuation", "watson_sublattice",
 ]

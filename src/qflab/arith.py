@@ -134,17 +134,6 @@ def h_factor(d_f: int, p: int, mu: int, k: int) -> int:
     return head - chi * tail
 
 
-def good_prime_ratio(d_f: int, p: int, mu: int) -> int:
-    """Value of p^mu * alpha_p(n)/alpha_p(1) at a good prime (rank 4):
-    sum_{t=0}^{mu} chi^(mu-t) p^t with chi = kronecker(d_f, p)."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if p < 2 or (2 * d_f) % p == 0:
-        raise ValueError(f"{p} divides 2*dF = {2 * d_f}")
-    chi = kronecker(d_f, p)
-    return sum(chi ** (mu - t) * p**t for t in range(mu + 1))
-
-
 def local_density_good(d_f: int, p: int, mu: int) -> Fraction:
     """Local representation density alpha_p(n, L) at a good prime for a
     quaternary lattice, where mu = ord_p(n): the closed rational form

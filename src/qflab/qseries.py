@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from .arith import factorize, kronecker
 from .forms import QuadForm
-from .theta import theta_coeffs
+from .theta import _inverse_trunc, _mul_trunc, theta_coeffs
 
 
 @dataclass(frozen=True)
@@ -94,40 +94,26 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         d = self.grading * other.grading // gcd(self.grading, other.grading)
         a, b = self.regraded(d), other.regraded(d)
-        low = a.low + b.low
-        prec = min(a.prec + b.low, b.prec + a.low)
-        out = [0] * (prec - low + 1)
-        items_a, items_b = a.nonzero(), b.nonzero()
-        if len(items_a) > len(items_b):
-            items_a, items_b = items_b, items_a
-        for ia, ca in items_a:
-            for ib, cb in items_b:
-                idx = ia + ib
-                if idx > prec:
-                    break
-                out[idx - low] += ca * cb
-        return QSeries(d, low, tuple(out))
+        n = min(a.prec - a.low, b.prec - b.low)
+        return QSeries(d, a.low + b.low, tuple(_mul_trunc(a.coeffs, b.coeffs, n)))
 
     def inverse(self, prec: int) -> "QSeries":
         """Reciprocal series to the given index precision; the lowest
-        coefficient must be a unit."""
-        lead_idx, lead = self.nonzero()[0]
-        if lead not in (1, -1):
-            raise ValueError("leading coefficient must be +-1")
+        coefficient must be a unit.  Index prec of the reciprocal needs
+        the coefficients through prec + 2 * (leading index), so a larger
+        prec than the known ones allow is refused."""
+        nonzero = self.nonzero()
+        if not nonzero:
+            raise ValueError("a zero series has no reciprocal")
+        lead_idx = nonzero[0][0]
         low = -lead_idx
-        length = prec - low + 1
-        if length < 1:
+        if prec < low:
             raise ValueError("requested precision below the leading term")
-        inv = [0] * length
-        inv[0] = lead
-        for j in range(1, length):
-            acc = 0
-            for offset in range(1, j + 1):
-                c = self.coeff(lead_idx + offset) if lead_idx + offset <= self.prec else 0
-                if c:
-                    acc += c * inv[j - offset]
-            inv[j] = -lead * acc
-        return QSeries(self.grading, low, tuple(inv))
+        if prec > self.prec - 2 * lead_idx:
+            raise ValueError(f"precision {prec} needs coefficients past "
+                             f"the known index {self.prec}")
+        known = self.coeffs[lead_idx - self.low:]
+        return QSeries(self.grading, low, tuple(_inverse_trunc(known, prec - low)))
 
     def truncated(self, prec: int) -> "QSeries":
         """Drop knowledge above the given index."""
@@ -143,11 +129,6 @@ class QSeries:
             raise ValueError("cannot serialize a series with negative exponents")
         coeffs = [0] * self.low + list(self.coeffs)
         return json.dumps({"D": self.grading, "prec": self.prec, "coeffs": coeffs})
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy product (exact integers)."""
-    return a * b
 
 
 def series_one(grading: int = 1, prec: int = 0) -> QSeries:
@@ -185,40 +166,15 @@ def eta_expansion(scale: int, power: int, prec: int) -> QSeries:
     base = _euler_product(n_terms)
     acc = [1]
     for _ in range(abs(power)):
-        acc = _poly_mul_trunc(acc, base, n_terms)
+        acc = _mul_trunc(acc, base, n_terms)
     if power < 0:
-        acc = _poly_inverse(acc, n_terms)
+        acc = _inverse_trunc(acc, n_terms)
     coeffs = [0] * (prec - low + 1)
     for j, c in enumerate(acc):
         pos = 24 * scale * j
         if pos <= prec - low:
             coeffs[pos] = c
     return QSeries(24, low, tuple(coeffs))
-
-
-def _poly_mul_trunc(a, b, n):
-    out = [0] * (n + 1)
-    for i, av in enumerate(a[:n + 1]):
-        if av == 0:
-            continue
-        for j, bv in enumerate(b[:n + 1 - i]):
-            if bv:
-                out[i + j] += av * bv
-    return out
-
-
-def _poly_inverse(a, n):
-    if a[0] not in (1, -1):
-        raise ValueError("leading coefficient must be +-1")
-    inv = [0] * (n + 1)
-    inv[0] = a[0]
-    for j in range(1, n + 1):
-        acc = 0
-        for t in range(1, min(j, len(a) - 1) + 1):
-            if a[t]:
-                acc += a[t] * inv[j - t]
-        inv[j] = -a[0] * acc
-    return inv
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
-"""Exact lattice-point counting for positive definite forms.
+"""Exact lattice-point counting and exact truncated series products.
 
-All bounds come from an exact rational square completion of the form, so
-no boundary case is ever lost to floating point.  The innermost
-coordinate of every sweep is evaluated as an integer-valued quadratic on
-a numpy range, which keeps the hot loop vectorized while staying exact.
+One walker, `_tails`, runs the exact rational (LDL) square completion of
+the form over every coordinate but the first, so no boundary case is
+ever lost to floating point.  It yields each feasible tail with the
+integer quadratic in the first coordinate, and its three callers finish
+that coordinate in their own way: `_theta_sweep` on a numpy range,
+`represent_count` by an exact integer root test, `short_vectors` by
+listing the integer values.
+
+`_mul_trunc` and `_inverse_trunc` are the one exact Python-int product
+and inverse of truncated series, looping over nonzero entries only; the
+q-series layer and the overflow fallback of `_convolve_trunc` use them.
 """
 
 from __future__ import annotations
@@ -65,6 +72,53 @@ def _row_coefficients(h, x):
     return a2, a1, a0 // 2
 
 
+def _tails(h, bound: int):
+    """Every tail x[1:] with some real x[0] giving Q(x) <= bound, as
+    (x, a2, a1, a0) with Q(t, x[1:]) = a2 t^2 + a1 t + a0.
+
+    x is one list, reused between tails (x[0] stays 0).  Coordinates
+    x[k-1], .., x[1] are taken in turn, each over the exact range its
+    remaining rational budget allows.
+    """
+    k = len(h)
+    d, u = _ldl(h)
+    x = [0] * k
+
+    def descend(level: int, budget: Fraction):
+        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
+                     Fraction(0))
+        radius = _floor_sqrt(budget / d[level])
+        lo = _floor(-center) - radius - 1
+        hi = -_floor(center) + radius + 1
+        for t in range(lo, hi + 1):
+            shift = t + center
+            rem = budget - d[level] * shift * shift
+            if rem >= 0:
+                x[level] = t
+                # a leaf level of its own would cost a generator per tail
+                if level == 1:
+                    yield (x, *_row_coefficients(h, x))
+                else:
+                    yield from descend(level - 1, rem)
+        x[level] = 0
+
+    if k == 1:
+        yield (x, *_row_coefficients(h, x))
+    else:
+        yield from descend(k - 1, Fraction(bound))
+
+
+def _t_range(a2: int, a1: int, a0: int, bound: int) -> tuple[int, int]:
+    """Half-open integer range [lo, stop) holding every t with
+    a2 t^2 + a1 t + a0 <= bound, widened by one on each side so that
+    integer rounding never drops one."""
+    disc = a1 * a1 - 4 * a2 * (a0 - bound)
+    if disc < 0:
+        return 0, 0
+    s = isqrt(disc)
+    return (-a1 - s) // (2 * a2) - 1, (-a1 + s) // (2 * a2) + 2
+
+
 def _theta_unary(a: int, prec: int) -> np.ndarray:
     out = np.zeros(prec + 1, dtype=np.int64)
     out[0] = 1
@@ -77,56 +131,24 @@ def _theta_unary(a: int, prec: int) -> np.ndarray:
 
 def _theta_sweep(h, prec: int) -> np.ndarray:
     """Counts of Q(v) = n for all n <= prec, one enumeration sweep."""
-    k = len(h)
-    if k == 1:
+    if len(h) == 1:
         return _theta_unary(h[0][0] // 2, prec)
-    d, u = _ldl(h)
     counts = np.zeros(prec + 1, dtype=np.int64)
     pending: list[np.ndarray] = []
     pending_size = 0
-    x = [0] * k
-
-    def flush():
-        nonlocal pending, pending_size
-        if pending:
-            vals = np.concatenate(pending)
-            np.add(counts, np.bincount(vals, minlength=prec + 1), out=counts)
-            pending = []
-            pending_size = 0
-
-    def descend(level: int, budget: Fraction):
-        nonlocal pending_size
-        if level == 0:
-            a2, a1, a0 = _row_coefficients(h, x)
-            disc = a1 * a1 - 4 * a2 * (a0 - prec)
-            if disc < 0:
-                return
-            s = isqrt(disc)
-            lo = (-a1 - s) // (2 * a2) - 1
-            hi = (-a1 + s) // (2 * a2) + 1
-            ts = np.arange(lo, hi + 1, dtype=np.int64)
-            vals = (a2 * ts + a1) * ts + a0
-            vals = vals[vals <= prec]
-            pending.append(vals)
-            pending_size += vals.size
-            if pending_size >= _FLUSH:
-                flush()
-            return
-        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
-                     Fraction(0))
-        radius = _floor_sqrt(budget / d[level])
-        lo = _floor(-center) - radius - 1
-        hi = -_floor(center) + radius + 1
-        for t in range(lo, hi + 1):
-            shift = t + center
-            rem = budget - d[level] * shift * shift
-            if rem >= 0:
-                x[level] = t
-                descend(level - 1, rem)
-        x[level] = 0
-
-    descend(k - 1, Fraction(prec))
-    flush()
+    for _, a2, a1, a0 in _tails(h, prec):
+        ts = np.arange(*_t_range(a2, a1, a0, prec), dtype=np.int64)
+        vals = (a2 * ts + a1) * ts + a0
+        pending.append(vals[vals <= prec])
+        # rows kept alive into the next tail fragment the heap: peak RSS
+        # of repeated sweeps grew by about 9 MB
+        del ts, vals
+        pending_size += pending[-1].size
+        if pending_size >= _FLUSH:
+            counts += np.bincount(np.concatenate(pending), minlength=prec + 1)
+            pending, pending_size = [], 0
+    if pending:
+        counts += np.bincount(np.concatenate(pending), minlength=prec + 1)
     return counts
 
 
@@ -150,7 +172,7 @@ def _convolve_trunc(a: np.ndarray, b: np.ndarray, prec: int) -> np.ndarray:
     unary thetas the nonzero pairs are the lattice points of the binary
     form up to sign, so a two-unary half costs O(N) instead of
     O(N^1.5).  Products whose coefficients could reach _INT64_GUARD go
-    to the Python-int _convolve_object before either path.
+    to the Python-int _mul_trunc before either path, as an object array.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -159,7 +181,7 @@ def _convolve_trunc(a: np.ndarray, b: np.ndarray, prec: int) -> np.ndarray:
     bound = (int(np.abs(a).max(initial=0))
              * sum(abs(v) for v in vals.tolist()))
     if bound >= _INT64_GUARD:
-        return _convolve_object(a, b, prec)
+        return np.array(_mul_trunc(a.tolist(), b.tolist(), prec), dtype=object)
     top = min(len(a) - 1, prec)
     if len(idx) * (top + 1) >= _SPARSE_MIN_WORK:
         nz = np.flatnonzero(a[:top + 1])
@@ -197,17 +219,38 @@ def _convolve_sparse(ia, va, ib, vb, prec):
     return out[:-1]
 
 
-def _convolve_object(a, b, prec):
-    """Python-int fallback for products that could overflow int64."""
-    out = [0] * (prec + 1)
-    for i, av in enumerate(a[:prec + 1]):
-        if av == 0:
-            continue
-        av = int(av)
-        for j, bv in enumerate(b[:prec + 1 - i]):
-            if bv:
-                out[i + j] += av * int(bv)
-    return np.array(out, dtype=object)
+def _mul_trunc(a, b, n: int) -> list[int]:
+    """Exact truncated product: out[m] = sum_{i+j=m} a_i b_j for m <= n,
+    over sequences of Python ints, looping over nonzero pairs only."""
+    items_a = [(i, v) for i, v in enumerate(a[:n + 1]) if v]
+    items_b = [(j, v) for j, v in enumerate(b[:n + 1]) if v]
+    if len(items_a) > len(items_b):
+        items_a, items_b = items_b, items_a
+    out = [0] * (n + 1)
+    for i, av in items_a:
+        for j, bv in items_b:
+            if i + j > n:
+                break
+            out[i + j] += av * bv
+    return out
+
+
+def _inverse_trunc(a, n: int) -> list[int]:
+    """Exact reciprocal through x^n of a series with a_0 = +-1, from
+    a_1..a_n (the caller must know them), looping over nonzero a_t."""
+    if a[0] not in (1, -1):
+        raise ValueError("leading coefficient must be +-1")
+    items = [(t, v) for t, v in enumerate(a[1:n + 1], 1) if v]
+    inv = [0] * (n + 1)
+    inv[0] = a[0]
+    for j in range(1, n + 1):
+        acc = 0
+        for t, v in items:
+            if t > j:
+                break
+            acc += v * inv[j - t]
+        inv[j] = -a[0] * acc
+    return inv
 
 
 def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
@@ -230,143 +273,29 @@ def represent_count(form: QuadForm, n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    h = form.hessian
-    k = form.rank
-    if k == 1:
-        a = h[0][0] // 2
-        if n % a:
-            return 0
-        s = isqrt(n // a)
-        return 2 if s * s * a == n else 0
-    d, u = _ldl(h)
-    x = [0] * k
     total = 0
-
-    def descend(level: int, budget: Fraction):
-        nonlocal total
-        if level == 0:
-            a2, a1, a0 = _row_coefficients(h, x)
-            disc = a1 * a1 - 4 * a2 * (a0 - n)
-            if disc < 0:
-                return
-            s = isqrt(disc)
-            if s * s != disc:
-                return
-            for root_num in {-a1 - s, -a1 + s}:
-                if root_num % (2 * a2) == 0:
-                    total += 1
-            return
-        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
-                     Fraction(0))
-        radius = _floor_sqrt(budget / d[level])
-        lo = _floor(-center) - radius - 1
-        hi = -_floor(center) + radius + 1
-        for t in range(lo, hi + 1):
-            shift = t + center
-            rem = budget - d[level] * shift * shift
-            if rem >= 0:
-                x[level] = t
-                descend(level - 1, rem)
-        x[level] = 0
-
-    descend(k - 1, Fraction(n))
+    for _, a2, a1, a0 in _tails(form.hessian, n):
+        disc = a1 * a1 - 4 * a2 * (a0 - n)
+        if disc < 0:
+            continue
+        s = isqrt(disc)
+        if s * s == disc:
+            total += sum(1 for root in {-a1 - s, -a1 + s}
+                         if root % (2 * a2) == 0)
     return total
 
 
-def vectors_with_value(form: QuadForm, n: int) -> list[tuple[int, ...]]:
-    """All integer vectors with Q(v) = n (both signs included)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [tuple([0] * form.rank)]
-    h = form.hessian
-    k = form.rank
-    d, u = _ldl(h)
-    x = [0] * k
-    found: list[tuple[int, ...]] = []
-
-    def descend(level: int, budget: Fraction):
-        if level == 0:
-            a2, a1, a0 = _row_coefficients(h, x)
-            disc = a1 * a1 - 4 * a2 * (a0 - n)
-            if disc < 0:
-                return
-            s = isqrt(disc)
-            if s * s != disc:
-                return
-            for root_num in {-a1 - s, -a1 + s}:
-                if root_num % (2 * a2) == 0:
-                    x[0] = root_num // (2 * a2)
-                    found.append(tuple(x))
-            x[0] = 0
-            return
-        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
-                     Fraction(0))
-        radius = _floor_sqrt(budget / d[level])
-        lo = _floor(-center) - radius - 1
-        hi = -_floor(center) + radius + 1
-        for t in range(lo, hi + 1):
-            shift = t + center
-            rem = budget - d[level] * shift * shift
-            if rem >= 0:
-                x[level] = t
-                descend(level - 1, rem)
-        x[level] = 0
-
-    if k == 1:
-        a = h[0][0] // 2
-        if n % a == 0:
-            s = isqrt(n // a)
-            if s * s * a == n:
-                return [(s,), (-s,)]
-        return []
-    descend(k - 1, Fraction(n))
-    return sorted(found)
-
-
 def short_vectors(form: QuadForm, cap: int) -> dict[int, list[tuple[int, ...]]]:
-    """Sign-canonical vectors with 0 < Q(v) <= cap, grouped by value."""
-    h = form.hessian
-    k = form.rank
+    """Sign-canonical vectors with 0 < Q(v) <= cap, grouped by value: the
+    first nonzero coordinate of each listed vector is positive."""
     out: dict[int, list[tuple[int, ...]]] = {}
-    if k == 1:
-        a = h[0][0] // 2
-        t = 1
-        while a * t * t <= cap:
-            out[a * t * t] = [(t,)]
-            t += 1
-        return out
-    d, u = _ldl(h)
-    x = [0] * k
-
-    def canonical(v):
-        for c in v:
-            if c > 0:
-                return True
-            if c < 0:
-                return False
-        return False
-
-    def descend(level: int, budget: Fraction):
-        if level < 0:
-            q = form.evaluate(x)
-            if 0 < q <= cap and canonical(x):
-                out.setdefault(q, []).append(tuple(x))
-            return
-        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
-                     Fraction(0))
-        radius = _floor_sqrt(budget / d[level])
-        lo = _floor(-center) - radius - 1
-        hi = -_floor(center) + radius + 1
-        for t in range(lo, hi + 1):
-            shift = t + center
-            rem = budget - d[level] * shift * shift
-            if rem >= 0:
-                x[level] = t
-                descend(level - 1, rem)
-        x[level] = 0
-
-    descend(k - 1, Fraction(cap))
+    for x, a2, a1, a0 in _tails(form.hessian, cap):
+        tail = tuple(x[1:])
+        lead = next((c for c in tail if c), 0)
+        for t in range(*_t_range(a2, a1, a0, cap)):
+            q = (a2 * t + a1) * t + a0
+            if 0 < q <= cap and (t > 0 or (t == 0 and lead > 0)):
+                out.setdefault(q, []).append((t, *tail))
     for vecs in out.values():
         vecs.sort()
     return out

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflab.arith import (factorize, good_prime_ratio, h_factor, kronecker,
-                         local_density_good, square_split, valuation)
+from qflab.arith import (factorize, h_factor, kronecker, local_density_good,
+                         square_split, valuation)
 
 
 def legendre_oracle(a: int, p: int) -> int:
@@ -191,13 +192,23 @@ class TestHFactor:
         assert h_factor(d_f, p, mu, 4) == both
 
 
+def density_ratio(d_f: int, p: int, mu: int) -> Fraction:
+    """p^(2 mu) alpha_p(p^(2 mu)) / alpha_p(1) from the local densities:
+    the good-prime factor of r(n^2), computed without h_factor."""
+    return (p ** (2 * mu) * local_density_good(d_f, p, 2 * mu)
+            / local_density_good(d_f, p, 0))
+
+
 class TestGoodPrimeRatio:
+    """local_density_good as an independent cross-check of h_factor at
+    rank 4."""
+
     def test_examples(self):
         assert kronecker(1, 3) == 1
-        assert good_prime_ratio(1, 3, 1) == 4
+        assert density_ratio(1, 3, 1) == h_factor(1, 3, 1, 4) == 1 + 3 + 9
         assert kronecker(3, 7) == -1
-        assert good_prime_ratio(3, 7, 1) == 6
-        assert good_prime_ratio(17, 5, 0) == 1
+        assert density_ratio(3, 7, 1) == h_factor(3, 7, 1, 4) == 1 - 7 + 49
+        assert density_ratio(17, 5, 0) == h_factor(17, 5, 0, 4) == 1
 
     def test_alpha_ratio_cross_check(self):
         rng = random.Random(7)
@@ -207,6 +218,4 @@ class TestGoodPrimeRatio:
             if (2 * d_f) % p == 0:
                 continue
             mu = rng.randrange(0, 5)
-            ratio = (p**mu * local_density_good(d_f, p, mu)
-                     / local_density_good(d_f, p, 0))
-            assert ratio == good_prime_ratio(d_f, p, mu)
+            assert density_ratio(d_f, p, mu) == h_factor(d_f, p, mu, 4)

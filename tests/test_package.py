@@ -1,0 +1,45 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qflab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(qflab.__all__)) == len(qflab.__all__)
+    missing = [name for name in qflab.__all__ if not hasattr(qflab, name)]
+    assert missing == []
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from qflab import *", namespace)
+    assert set(qflab.__all__) <= set(namespace)
+
+
+def run_script(*argv):
+    """Run a script from the source tree, without a theta cache."""
+    env = {k: v for k, v in os.environ.items() if k != "QFLAB_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_quotient_report_script():
+    done = run_script("scripts/quotient_report.py", "--prec", "60")
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_reproduce_classification_script():
+    # a search this small cannot reproduce the whole table, so it prints
+    # "classification reproduced: False" and exits 1 by design
+    done = run_script("scripts/reproduce_classification.py", "--bound", "50",
+                      "--cmax", "12", "--search-bound", "20")
+    assert done.returncode in (0, 1), done.stderr
+    assert "Traceback" not in done.stderr
+    assert "classification reproduced:" in done.stdout

@@ -9,7 +9,7 @@ from qflab.forms import QuadForm
 from qflab.qseries import (EtaQuotient, LEVEL120_QUOTIENTS, QSeries,
                            cusp_orders, divisor_character_sum, eta_expansion,
                            eta_quotient_expansion, quotient_coefficient,
-                           newman_check, series_mul, series_one, sturm_bound,
+                           newman_check, series_one, sturm_bound,
                            theta_qseries, unary_theta_identities)
 
 series_strategy = st.builds(
@@ -24,7 +24,7 @@ class TestQSeries:
     def test_mul_examples(self):
         one_plus = QSeries(1, 0, (1, 1, 0))
         one_minus = QSeries(1, 0, (1, -1, 0))
-        prod = series_mul(one_plus, one_minus)
+        prod = one_plus * one_minus
         assert [prod.coeff(i) for i in range(3)] == [1, 0, -1]
         # grading adds: q^(1/24) * q^(23/24) = q
         a = QSeries(24, 1, (1,))
@@ -65,6 +65,22 @@ class TestQSeries:
         prod = eta * inv
         assert prod.coeff(0) == 1
         assert all(prod.coeff(i) == 0 for i in range(1, prod.prec + 1))
+
+    def test_inverse_uses_known_coefficients_only(self):
+        # 1 + q is known through q^1 only, so its reciprocal is too
+        short = QSeries(1, 0, (1, 1))
+        assert short.inverse(1).coeffs == (1, -1)
+        with pytest.raises(ValueError):
+            short.inverse(5)
+        # the same known prefix continued by q^2 + 5 q^3
+        assert QSeries(1, 0, (1, 1, 1, 5)).inverse(3).coeffs == (1, -1, 0, -4)
+        # a leading q^2 costs two known indices at each end
+        shifted = QSeries(1, 2, (1, 1, 1, 5))
+        assert shifted.inverse(1).coeffs == (1, -1, 0, -4)
+        with pytest.raises(ValueError):
+            shifted.inverse(2)
+        with pytest.raises(ValueError):
+            QSeries(1, 0, (0, 0, 0)).inverse(0)
 
     def test_json_schema(self):
         s = QSeries(1, 0, (1, 2, 2, 6))

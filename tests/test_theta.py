@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from qflab import theta
 from qflab._matrix import int_det
 from qflab.forms import QuadForm
-from qflab.theta import (RepQuery, _convolve_object, _convolve_trunc,
-                         _theta_unary, represent_count, short_vectors,
-                         theta_coeffs, vectors_with_value)
+from qflab.theta import (RepQuery, _convolve_trunc, _inverse_trunc,
+                         _mul_trunc, _theta_unary, represent_count,
+                         short_vectors, theta_coeffs)
 
 
-def box_count_oracle(form: QuadForm, n: int) -> int:
-    """Independent brute force over a provably sufficient box: the dual
-    bound v_i^2 <= 2 n (H^{-1})_ii = 2 n cof_ii / det H."""
-    if n == 0:
-        return 1
+def box(form: QuadForm, n: int):
+    """(v, Q(v)) over a box provably holding every v with Q(v) <= n: the
+    dual bound v_i^2 <= 2 n (H^{-1})_ii = 2 n cof_ii / det H."""
     h = [list(r) for r in form.hessian]
     k = form.rank
     det = int_det(h)
@@ -30,11 +28,15 @@ def box_count_oracle(form: QuadForm, n: int) -> int:
                  for r in range(k) if r != i]
         cof = int_det(minor)
         bounds.append(isqrt((2 * n * cof) // det + 1) + 1)
-    total = 0
     for v in product(*(range(-b, b + 1) for b in bounds)):
-        if form.evaluate(v) == n:
-            total += 1
-    return total
+        yield v, form.evaluate(v)
+
+
+def box_count_oracle(form: QuadForm, n: int) -> int:
+    """Independent brute force for r(n) over the box of `box`."""
+    if n == 0:
+        return 1
+    return sum(1 for _, q in box(form, n) if q == n)
 
 
 def random_unimodular(rng: random.Random, k: int):
@@ -128,14 +130,52 @@ class TestThetaCoeffs:
         assert all(c % 2 == 0 for c in coeffs[1:])
 
 
-class TestVectors:
-    def test_vectors_with_value(self):
-        form = QuadForm.diagonal((1, 2, 3, 10))
-        vecs = vectors_with_value(form, 3)
-        assert len(vecs) == 6
-        assert all(form.evaluate(v) == 3 for v in vecs)
-        assert vectors_with_value(form, 0) == [(0, 0, 0, 0)]
+NONDIAGONAL_BASES = [
+    QuadForm(((2, 1), (1, 4))),
+    QuadForm(((4, -3), (-3, 6))),
+    QuadForm(((2, 1, 0), (1, 4, -1), (0, -1, 6))),
+    QuadForm(((2, 1, 1), (1, 2, 1), (1, 1, 4))),
+    QuadForm(((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 4))),
+    QuadForm.from_gram([[1, 0, 0, 0], [0, 6, 2, -2], [0, 2, 6, 2],
+                        [0, -2, 2, 8]]),
+]
 
+
+def random_conjugates(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        form = rng.choice(NONDIAGONAL_BASES)
+        yield conjugated(form, random_unimodular(rng, form.rank))
+
+
+class TestWalkerAgainstBox:
+    """The three leaf loops over the one lattice walker against brute
+    force over the dual-bound box, on random unimodular conjugates."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_short_vectors(self, seed):
+        for form in random_conjugates(seed, 3):
+            cap = 6 if form.rank == 4 else 12
+            expected: dict[int, list] = {}
+            for v, q in box(form, cap):
+                if 0 < q <= cap and next(c for c in v if c) > 0:
+                    expected.setdefault(q, []).append(v)
+            assert short_vectors(form, cap) == expected, form.hessian
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_represent_count_and_theta_coeffs(self, seed):
+        for form in random_conjugates(100 + seed, 3):
+            top = 6 if form.rank == 4 else 12
+            counts = [0] * (top + 1)
+            for _, q in box(form, top):
+                if q <= top:
+                    counts[q] += 1
+            assert theta_coeffs(form, top) == counts, form.hessian
+            assert [represent_count(form, n)
+                    for n in range(top + 1)] == counts, form.hessian
+
+
+class TestVectors:
     def test_short_vectors_groups(self):
         form = QuadForm.diagonal((1, 2))
         pool = short_vectors(form, 9)
@@ -203,7 +243,7 @@ class TestConvolveTrunc:
     def test_both_paths_match_object_reference(self, a, b, prec, sparse):
         a = np.array(a, dtype=np.int64)
         b = np.array(b, dtype=np.int64)
-        expected = [int(v) for v in _convolve_object(a, b, prec)]
+        expected = _mul_trunc(a.tolist(), b.tolist(), prec)
         with (_always_sparse() if sparse else _never_sparse()), \
                 _spy_sparse() as spy:
             got = _convolve_trunc(a, b, prec)
@@ -256,3 +296,34 @@ class TestConvolveTrunc:
                 loop = RepQuery(form, prec)
             for m in rng.sample(range(prec + 1), 50):
                 assert query.count(m) == loop.count(m), (diag, m)
+
+
+_series = st.lists(st.integers(-50, 50), min_size=1, max_size=40) | \
+    st.lists(st.sampled_from((0,) * 10 + (1, -1, 3, -10**20)),
+             min_size=1, max_size=80)
+
+
+def _naive_product(a, b, n):
+    return [sum(a[i] * b[m - i] for i in range(m + 1)
+                if i < len(a) and m - i < len(b))
+            for m in range(n + 1)]
+
+
+class TestSeriesKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(_series, _series, st.integers(0, 100))
+    def test_mul_trunc_matches_double_sum(self, a, b, n):
+        assert _mul_trunc(a, b, n) == _naive_product(a, b, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((1, -1)), _series, st.integers(0, 60))
+    def test_inverse_trunc_times_series_is_one(self, lead, tail, n):
+        a = ([lead] + tail)[:n + 1]
+        a += [0] * (n + 1 - len(a))
+        inv = _inverse_trunc(a, n)
+        assert len(inv) == n + 1
+        assert _naive_product(a, inv, n) == [1] + [0] * n
+
+    def test_inverse_trunc_needs_unit_lead(self):
+        with pytest.raises(ValueError):
+            _inverse_trunc([2, 1], 3)
