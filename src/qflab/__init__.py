@@ -23,8 +23,7 @@ from .search import SearchConfig, SearchFilters, search_diagonal
 from .theta import RepQuery, represent_count, short_vectors, theta_coeffs
 from .transforms import (JordanSymbolOdd, gamma_sublattices,
                          jordan_symbol_odd, lambda_composite,
-                         lambda_transform, sublattice_on_basis,
-                         watson_sublattice)
+                         lambda_transform, watson_sublattice)
 from .verify import run_lemma54, run_props, run_table1
 
 __version__ = "0.1.0"
@@ -46,7 +45,7 @@ __all__ = [
     "represent_count", "resolve_cache_dir", "run_lemma54", "run_props",
     "run_table1", "search_diagonal", "short_vectors",
     "square_split", "sturm_bound", "sublattice_index",
-    "sublattice_on_basis", "classification_failing", "classification_passing",
+    "classification_failing", "classification_passing",
     "theta_coeffs", "theta_difference_vs_quotients", "theta_qseries",
     "unary_theta_identities", "valuation", "watson_sublattice",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
 
 from ._matrix import conjugate, hnf_basis, int_det, integer_kernel
 
@@ -20,7 +21,10 @@ class QuadForm:
     hessian: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        h = tuple(tuple(int(x) for x in row) for row in self.hessian)
+        try:
+            h = tuple(tuple(map(index, row)) for row in self.hessian)
+        except TypeError as exc:
+            raise ValueError("hessian must be a matrix of integers") from exc
         object.__setattr__(self, "hessian", h)
         k = len(h)
         if not 1 <= k <= 4:
@@ -170,7 +174,9 @@ def parse_form(text: str) -> QuadForm:
     text = text.strip()
     if text.startswith("{"):
         data = json.loads(text)
-        form = QuadForm(tuple(tuple(row) for row in data["hessian"]))
+        if "hessian" not in data:
+            raise ValueError('form literal has no "hessian" entry')
+        form = QuadForm(data["hessian"])
         if "rank" in data and data["rank"] != form.rank:
             raise ValueError("rank field disagrees with hessian size")
         return form
@@ -197,24 +203,27 @@ class CongruenceSystem:
         object.__setattr__(self, "relations", reduced)
 
 
+def _kernel_mod_sublattice(form: QuadForm, relations, modulus: int) -> QuadForm:
+    """The form on a Hermite normal form basis of
+    {x : relations . x = 0 (mod modulus)}."""
+    k = form.rank
+    rels = [row for row in relations if any(c % modulus for c in row)]
+    if not rels:
+        return form
+    r = len(rels)
+    # solutions of W x = m y, as projections of an integer kernel
+    stacked = [list(rels[i]) + [-modulus if j == i else 0 for j in range(r)]
+               for i in range(r)]
+    basis = hnf_basis([vec[:k] for vec in integer_kernel(stacked)])
+    return QuadForm(tuple(tuple(x) for x in conjugate(form.hessian, basis)))
+
+
 def congruence_sublattice(form: QuadForm, system: CongruenceSystem) -> QuadForm:
     """Gram matrix of {x : all relations hold}, on a Hermite normal form
     basis of the solution lattice.  The result may be non-normalized."""
-    k = form.rank
-    rels = [row for row in system.relations if any(row)]
-    if not rels:
-        return form
-    if any(len(row) != k for row in rels):
+    if any(len(row) != form.rank for row in system.relations if any(row)):
         raise ValueError("relation length must equal the rank")
-    m = system.modulus
-    r = len(rels)
-    # solutions of W x = m y, as projections of an integer kernel
-    stacked = [list(rels[i]) + [-m if j == i else 0 for j in range(r)]
-               for i in range(r)]
-    kernel = integer_kernel(stacked)
-    columns = [vec[:k] for vec in kernel]
-    basis = hnf_basis(columns)
-    return QuadForm(tuple(tuple(x) for x in conjugate(form.hessian, basis)))
+    return _kernel_mod_sublattice(form, system.relations, system.modulus)
 
 
 def sublattice_index(form: QuadForm, sub: QuadForm) -> int:

@@ -29,7 +29,7 @@ class QSeries:
             raise ValueError("grading denominator must be positive")
         if not self.coeffs:
             raise ValueError("series needs at least one known coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     @property
     def prec(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .arith import h_factor
 from .forms import QuadForm
 from .reduction import is_isometric
 from .regularity import RegularityReport, is_strongly_s_regular
-from .theta import _theta_unary
+from .theta import _product, _theta_unary
 
 
 @dataclass(frozen=True)
@@ -69,31 +70,18 @@ class SearchResult:
         }
 
 
-class _PairTheta:
-    """Dense representation counts of binary diagonal pieces a x^2 + b y^2
-    through a small precision, cached per (a, b)."""
-
-    def __init__(self, c_max: int, prec: int):
-        self.prec = prec
-        self._unary = {a: _theta_unary(a, prec) for a in range(1, c_max + 1)}
-        self._pairs: dict[tuple[int, int], np.ndarray] = {}
-
-    def pair(self, a: int, b: int) -> np.ndarray:
-        key = (a, b) if a <= b else (b, a)
-        arr = self._pairs.get(key)
-        if arr is None:
-            arr = np.convolve(self._unary[key[0]], self._unary[key[1]])
-            arr = arr[:self.prec + 1]
-            self._pairs[key] = arr
-        return arr
+def _pair_theta(a: int, b: int) -> np.ndarray:
+    """Representation counts of a x^2 + b y^2 through 121 = 11^2, the
+    largest filter query; search_diagonal memoises it per search."""
+    return _product([_theta_unary(a, 121), _theta_unary(b, 121)], 121)
 
 
-def _good_prime_instance(pairs: _PairTheta, a: int, b: int, c: int,
+def _good_prime_instance(pair_theta, a: int, b: int, c: int,
                          d_f: int, p: int) -> bool:
     """The regularity equation at n = p for a good prime p:
     r(p^2) = r(1) h_p(dF, 1)."""
-    front = pairs.pair(1, a)
-    back = pairs.pair(b, c)
+    front = pair_theta(1, a)
+    back = pair_theta(b, c)
     m = p * p
     actual = int(np.dot(front[:m + 1], back[m::-1]))
     r1 = 2 * (1 + (a == 1) + (b == 1) + (c == 1))
@@ -109,7 +97,7 @@ def search_diagonal(config: SearchConfig, progress: bool = False,
     filters = config.filters
     filter_primes = [p for p, flag in ((3, filters.mod3), (5, filters.mod5),
                                        (11, filters.lemma41)) if flag]
-    pairs = _PairTheta(config.c_max, 121) if filter_primes else None
+    pair_theta = lru_cache(maxsize=None)(_pair_theta)
     survivors: list[tuple[int, int, int, int]] = []
     reports: dict[tuple[int, int, int, int], RegularityReport] = {}
     examined = 0
@@ -127,7 +115,8 @@ def search_diagonal(config: SearchConfig, progress: bool = False,
                 for p in filter_primes:
                     if d_f % p == 0:
                         continue
-                    if not _good_prime_instance(pairs, a, b, c, d_f, p):
+                    if not _good_prime_instance(pair_theta, a, b, c,
+                                                d_f, p):
                         pruned = True
                         break
                 if pruned:

@@ -8,6 +8,10 @@ that coordinate in their own way: `_theta_sweep` on a numpy range,
 `represent_count` by an exact integer root test, `short_vectors` by
 listing the integer values.
 
+`_product` is the one way to multiply theta arrays: `theta_coeffs`,
+both halves of `RepQuery` and the search filter pairs fold their
+factors with it, through the int64 `_convolve_trunc`.
+
 `_mul_trunc` and `_inverse_trunc` are the one exact Python-int product
 and inverse of truncated series, looping over nonzero entries only; the
 q-series layer and the overflow fallback of `_convolve_trunc` use them.
@@ -253,18 +257,26 @@ def _inverse_trunc(a, n: int) -> list[int]:
     return inv
 
 
+def _product(arrays, prec: int) -> np.ndarray:
+    """Truncated product through prec of theta arrays, sparsest factors
+    first, by _convolve_trunc; [1] for no factors."""
+    arrays = sorted(arrays, key=np.count_nonzero)
+    if not arrays:
+        return np.ones(1, dtype=np.int64)
+    acc = arrays[0]
+    for arr in arrays[1:]:
+        acc = _convolve_trunc(arr, acc, prec)
+    return acc
+
+
 def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
     """Representation numbers r(0..n_max) in one enumeration sweep per
     orthogonal block, blocks combined by exact convolution."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    arrays = [_theta_sweep(sub.hessian, n_max)
-              for _, sub in form.orthogonal_blocks()]
-    arrays.sort(key=lambda arr: int(np.count_nonzero(arr)))
-    acc = arrays[0]
-    for arr in arrays[1:]:
-        acc = _convolve_trunc(arr, acc, n_max)
-    return [int(v) for v in acc]
+    return [int(v) for v in _product(
+        [_theta_sweep(sub.hessian, n_max)
+         for _, sub in form.orthogonal_blocks()], n_max)]
 
 
 def represent_count(form: QuadForm, n: int) -> int:
@@ -304,10 +316,11 @@ def short_vectors(form: QuadForm, cap: int) -> dict[int, list[tuple[int, ...]]]:
 class RepQuery:
     """Point queries r(m) for m <= prec.
 
-    The form is split into two orthogonal halves whose theta vectors are
-    precomputed once; each query is then a single dot product.  A form
-    with no orthogonal splitting of rank 4 falls back to per-query
-    enumeration; rank <= 3 falls back to one dense sweep.
+    The orthogonal blocks of the form are split into two halves of
+    nearly equal rank, and the theta vector of each half, the _product
+    of its block thetas (one sweep or cache lookup per block), is built
+    once.  A query is then one dot product of the halves, or an array
+    lookup when the form is a single block and the second half is empty.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
@@ -315,34 +328,17 @@ class RepQuery:
         self.prec = prec
         self._memo: dict[int, int] = {}
         blocks = [sub for _, sub in form.orthogonal_blocks()]
-        if len(blocks) == 1 and form.rank >= 4:
-            self._mode = "point"
-            return
         blocks.sort(key=lambda b: b.rank, reverse=True)
         halves: list[list[QuadForm]] = [[blocks[0]], []]
         for blk in blocks[1:]:
             halves.sort(key=lambda part: sum(b.rank for b in part))
             halves[0].append(blk)
-
-        def theta_of(block: QuadForm) -> np.ndarray:
-            if cache is not None:
-                return np.asarray(cache(block, prec), dtype=np.int64)
-            return _theta_sweep(block.hessian, prec)
-
-        def fold(parts):
-            if not parts:
-                return np.ones(1, dtype=np.int64)
-            arrays = sorted((theta_of(b) for b in parts),
-                            key=lambda arr: int(np.count_nonzero(arr)))
-            acc = arrays[0]
-            for arr in arrays[1:]:
-                acc = _convolve_trunc(arr, acc, prec)
-            return acc
-
-        self._a = fold(halves[0])
-        self._b = fold(halves[1])
-        self._mode = "single" if len(self._b) == 1 else "dot"
-        if self._mode == "dot":
+        theta = cache or (lambda block, n: _theta_sweep(block.hessian, n))
+        self._a, self._b = (
+            _product([np.asarray(theta(b, prec), dtype=np.int64)
+                      for b in half], prec)
+            for half in halves)
+        if len(self._b) > 1:
             peak = int(self._a.max()) * int(self._b.max()) * (prec + 1)
             if peak >= _INT64_GUARD:
                 raise OverflowError("theta convolution would exceed int64")
@@ -355,9 +351,7 @@ class RepQuery:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        if self._mode == "point":
-            val = represent_count(self.form, m)
-        elif self._mode == "single":
+        if len(self._b) == 1:
             val = int(self._a[m])
         else:
             val = int(np.dot(self._a[:m + 1], self._b[m::-1]))

@@ -5,36 +5,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._matrix import conjugate, hnf_basis, integer_kernel
 from .arith import factorize, kronecker, valuation
-from .forms import CongruenceSystem, QuadForm, congruence_sublattice
-
-
-def _kernel_mod_basis(form: QuadForm, relations, modulus: int):
-    """Column basis matrix of {x : relations . x = 0 (mod modulus)}."""
-    k = form.rank
-    rels = [row for row in relations if any(c % modulus for c in row)]
-    if not rels:
-        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    r = len(rels)
-    stacked = [list(rels[i]) + [-modulus if j == i else 0 for j in range(r)]
-               for i in range(r)]
-    kernel = integer_kernel(stacked)
-    return hnf_basis([vec[:k] for vec in kernel])
+from .forms import (CongruenceSystem, QuadForm, _kernel_mod_sublattice,
+                    congruence_sublattice)
 
 
 def watson_sublattice(form: QuadForm, p: int) -> QuadForm:
     """Unscaled transform: the sublattice of vectors x with H x = 0 (mod p),
     together with Q(x) even when p = 2."""
-    basis = _kernel_mod_basis(form, form.hessian, p)
-    sub = QuadForm(tuple(tuple(row) for row in conjugate(form.hessian, basis)))
+    sub = _kernel_mod_sublattice(form, form.hessian, p)
     if p == 2:
         # Q is linear modulo 2 on the kernel, so one more congruence cut
-        parity = tuple(q % 2 for q in sub.diag_q)
-        if any(parity):
-            basis2 = _kernel_mod_basis(sub, [parity], 2)
-            sub = QuadForm(tuple(tuple(row)
-                                 for row in conjugate(sub.hessian, basis2)))
+        sub = _kernel_mod_sublattice(sub, [[q % 2 for q in sub.diag_q]], 2)
     return sub
 
 
@@ -186,10 +168,3 @@ def gamma_sublattices(form: QuadForm, p: int) -> tuple[QuadForm, QuadForm]:
     pair = [congruence_sublattice(form, CongruenceSystem(p, (f,)))
             for f in sorted(hits)]
     return pair[0], pair[1]
-
-
-def sublattice_on_basis(form: QuadForm, vectors) -> QuadForm:
-    """Gram of the sublattice spanned by the given integer vectors (one
-    vector per entry, in coordinates of the form's basis)."""
-    u = [[vec[r] for vec in vectors] for r in range(form.rank)]
-    return QuadForm(tuple(tuple(row) for row in conjugate(form.hessian, u)))

@@ -43,6 +43,17 @@ class TestCli:
             main(["sreg"])  # missing --form
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("literal", [
+        '{"hessian": [[2.9,0,0,0],[0,2,0,0],[0,0,4,0],[0,0,0,6]]}',
+        '{"rank": 2}',
+        '{"hessian": [1, 2]}',
+    ])
+    def test_malformed_form_literal_is_a_usage_error(self, capsys, literal):
+        code, out, err = run_cli(capsys, "sreg", "--form", literal,
+                                 "--bound", "30")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_capacity_error_has_its_own_exit_code(self, capsys, monkeypatch):
         def overflow(args):
             raise OverflowError("theta convolution would exceed int64")

@@ -33,6 +33,17 @@ class TestQuadForm:
         with pytest.raises(ValueError):
             QuadForm.diagonal((1,) * 5)  # rank too large
 
+    @pytest.mark.parametrize("hessian", [
+        ((2.9, 0), (0, 2)),  # would truncate to 2
+        ((2.0, 0), (0, 2)),
+        ((2, "0"), (0, 2)),
+        (1, 2),  # rows are not sequences
+        5,
+    ])
+    def test_entries_must_be_integers(self, hessian):
+        with pytest.raises(ValueError):
+            QuadForm(hessian)
+
     def test_odd_cross_coefficients_allowed(self):
         # x^2 + xy + y^2 has H = [[2,1],[1,2]]
         f = QuadForm(((2, 1), (1, 2)))

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from qflab.lattices import classification_passing
-from qflab.search import SearchConfig, SearchFilters, search_diagonal
+from qflab.search import (SearchConfig, SearchFilters, _pair_theta,
+                          search_diagonal)
+from qflab.theta import _theta_unary
 
 
 class TestSearchDiagonal:
@@ -50,3 +53,13 @@ class TestSearchDiagonal:
             SearchConfig(0, 50)
         with pytest.raises(ValueError):
             SearchConfig(3, 0)
+
+
+def test_filter_pairs_match_numpy_convolve():
+    for a in range(1, 31):
+        for b in range(a, 31):
+            expected = np.convolve(_theta_unary(a, 121),
+                                   _theta_unary(b, 121))[:122]
+            got = _pair_theta(a, b)
+            assert got.dtype == np.int64, (a, b)
+            assert np.array_equal(got, expected), (a, b)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qflab import theta
 from qflab._matrix import int_det
 from qflab.forms import QuadForm
+from qflab.lattices import all_bundled_forms
 from qflab.theta import (RepQuery, _convolve_trunc, _inverse_trunc,
                          _mul_trunc, _theta_unary, represent_count,
                          short_vectors, theta_coeffs)
@@ -148,6 +149,16 @@ def random_conjugates(seed: int, count: int):
         yield conjugated(form, random_unimodular(rng, form.rank))
 
 
+def one_block_conjugate(rng: random.Random, form: QuadForm) -> QuadForm:
+    """A random unimodular conjugate whose basis has one orthogonal block,
+    with entries of at most 1000 so that a sweep to 400 stays quick."""
+    while True:
+        other = conjugated(form, random_unimodular(rng, form.rank))
+        if (len(other.orthogonal_blocks()) == 1
+                and max(abs(x) for row in other.hessian for x in row) <= 1000):
+            return other
+
+
 class TestWalkerAgainstBox:
     """The three leaf loops over the one lattice walker against brute
     force over the dual-bound box, on random unimodular conjugates."""
@@ -206,6 +217,41 @@ class TestRepQuery:
         query = RepQuery(form, 40)
         for m in range(20):
             assert query.count(m) == represent_count(form, m)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_block_conjugates_match_references(self, seed):
+        """A form with one orthogonal block takes the one-half path (one
+        dense sweep, then array lookups, never a represent_count walk).
+        Its counts must equal theta_coeffs of the unconjugated base form
+        everywhere, and represent_count of the conjugate on samples."""
+        rng = random.Random(4400 + seed)
+        bases = {2: [*NONDIAGONAL_BASES[:2], QuadForm.diagonal((1, 3))],
+                 3: [*NONDIAGONAL_BASES[2:4], QuadForm.diagonal((1, 2, 3))],
+                 4: [NONDIAGONAL_BASES[5], *all_bundled_forms().values()]}
+        prec = 400
+        for rank in (2, 3, 4, 4):
+            base = rng.choice(bases[rank])
+            form = one_block_conjugate(rng, base)
+            with mock.patch.object(theta, "represent_count") as walk:
+                query = RepQuery(form, prec)
+                got = [query.count(m) for m in range(prec + 1)]
+            assert not walk.called
+            assert got == theta_coeffs(base, prec), form.hessian
+            for m in rng.sample(range(101), 4):
+                assert got[m] == represent_count(form, m), (form.hessian, m)
+
+    def test_cache_gets_the_whole_one_block_form(self):
+        form = QuadForm(((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1),
+                         (1, 1, 1, 4)))
+        calls = []
+
+        def cache(block, prec):
+            calls.append((block, prec))
+            return theta_coeffs(block, prec)
+
+        query = RepQuery(form, 60, cache=cache)
+        assert calls == [(form, 60)]
+        assert [query.count(m) for m in range(61)] == theta_coeffs(form, 60)
 
     def test_bounds(self):
         query = RepQuery(QuadForm.diagonal((1, 2)), 10)

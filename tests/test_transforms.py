@@ -5,7 +5,7 @@ from qflab.reduction import is_isometric
 from qflab.theta import theta_coeffs
 from qflab.transforms import (gamma_sublattices, jordan_symbol_odd,
                               lambda_composite, lambda_transform,
-                              sublattice_on_basis, watson_sublattice)
+                              watson_sublattice)
 
 
 class TestJordanSymbolOdd:
@@ -114,12 +114,3 @@ class TestGamma:
     def test_deterministic(self):
         form = QuadForm.diagonal((1, 2, 3))
         assert gamma_sublattices(form, 3) == gamma_sublattices(form, 3)
-
-
-class TestSublatticeOnBasis:
-    def test_scaled_sublattice(self):
-        form = QuadForm.diagonal((1, 2, 6, 16))
-        sub = sublattice_on_basis(form, [(2, 0, 0, 0), (0, 2, 0, 0),
-                                         (0, 1, 1, 0), (0, 0, 0, 1)])
-        expected = QuadForm.block_diag(4, [[8, 4], [4, 8]], 16)
-        assert sub.hessian == expected.hessian
