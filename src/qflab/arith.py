@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 def kronecker(a: int, n: int) -> int:
@@ -96,13 +97,19 @@ class SquareSplit:
     mu: tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=64)
+def _prime_divisors(m: int) -> tuple[int, ...]:
+    # a search or a verify suite splits many n against a few moduli
+    return factorize(m).primes()
+
+
 def square_split(n: int, two_dl: int) -> SquareSplit:
     """Split n into its part supported on primes of two_dl and the rest."""
     if n < 1 or two_dl < 1:
         raise ValueError("square_split needs positive arguments")
     n1 = 1
     rest = n
-    for p, _ in factorize(two_dl).factors:
+    for p in _prime_divisors(two_dl):
         while rest % p == 0:
             rest //= p
             n1 *= p

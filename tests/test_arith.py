@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflab.arith import (factorize, h_factor, kronecker, local_density_good,
-                         square_split, valuation)
+from qflab.arith import (SquareSplit, factorize, h_factor, kronecker,
+                         local_density_good, square_split, valuation)
 
 
 def legendre_oracle(a: int, p: int) -> int:
@@ -136,6 +136,19 @@ class TestSquareSplit:
         for p, e in s.mu:
             prod *= p**e
         assert prod == s.n2
+
+    @given(st.integers(1, 10**4), st.integers(1, 10**7))
+    @settings(max_examples=200)
+    def test_matches_factorize_definition(self, n, modulus):
+        bad = set(factorize(modulus).primes())
+        n1 = 1
+        for p, e in factorize(n).factors:
+            if p in bad:
+                n1 *= p**e
+        mu = tuple((p, e) for p, e in factorize(n).factors if p not in bad)
+        # the second call is served from the memoised prime divisors
+        for _ in range(2):
+            assert square_split(n, modulus) == SquareSplit(n, n1, n // n1, mu)
 
 
 class TestHFactor:

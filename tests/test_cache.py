@@ -1,12 +1,27 @@
+import base64
+import hashlib
 import json
 import logging
+import zlib
 
+import numpy as np
 import pytest
 
+import qflab.cache
 from qflab.cache import cache_theta, form_hash, make_cache, resolve_cache_dir
+from qflab.cli import main
 from qflab.forms import QuadForm
 from qflab.regularity import is_strongly_s_regular
 from qflab.theta import theta_coeffs
+
+
+def _decode(payload: str) -> np.ndarray:
+    return np.frombuffer(zlib.decompress(base64.b64decode(payload)),
+                         dtype="<i8").copy()
+
+
+def _encode(body: np.ndarray) -> str:
+    return base64.b64encode(zlib.compress(body.astype("<i8").tobytes())).decode()
 
 
 @pytest.fixture
@@ -38,12 +53,16 @@ class TestCacheTheta:
         good = cache_theta(form, 50, tmp_path)
         path = next(tmp_path.glob("theta-*.json"))
         data = json.loads(path.read_text())
-        data["coeffs"][7] = 10**6
+        body = _decode(data["coeffs"])
+        body[7] = 10**6
+        # the payload decodes, but no longer matches the old checksum
+        data["coeffs"] = _encode(body)
         path.write_text(json.dumps(data))
         with caplog.at_level(logging.WARNING):
             recovered = cache_theta(form, 50, tmp_path)
         assert recovered == good
         assert any("corrupt" in r.message for r in caplog.records)
+        assert _decode(json.loads(path.read_text())["coeffs"]).tolist() == good
 
     def test_unreadable_file_recovered(self, form, tmp_path, caplog):
         cache_theta(form, 30, tmp_path)
@@ -51,6 +70,89 @@ class TestCacheTheta:
         path.write_text("not json at all")
         with caplog.at_level(logging.WARNING):
             assert cache_theta(form, 30, tmp_path) == theta_coeffs(form, 30)
+
+    @pytest.mark.parametrize("payload", [
+        "not base64 at all!",
+        base64.b64encode(b"not a zlib stream").decode(),
+    ])
+    def test_undecodable_payload_is_unreadable(self, form, tmp_path, caplog,
+                                               payload):
+        cache_theta(form, 30, tmp_path)
+        path = next(tmp_path.glob("theta-*.json"))
+        data = json.loads(path.read_text())
+        data["coeffs"] = payload
+        path.write_text(json.dumps(data))
+        with caplog.at_level(logging.WARNING):
+            assert cache_theta(form, 30, tmp_path) == theta_coeffs(form, 30)
+        assert any("unreadable" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("field, value", [
+        ("prec", 40),
+        ("formHash", "0" * 64),
+    ])
+    def test_inconsistent_header_is_corrupt(self, form, tmp_path, caplog,
+                                            field, value):
+        cache_theta(form, 30, tmp_path)
+        path = next(tmp_path.glob("theta-*.json"))
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with caplog.at_level(logging.WARNING):
+            assert cache_theta(form, 30, tmp_path) == theta_coeffs(form, 30)
+        assert any("corrupt" in r.message for r in caplog.records)
+        assert json.loads(path.read_text())[field] != value
+
+    def test_old_format_entry_is_rewritten(self, form, tmp_path, caplog):
+        # the list format written before format versions existed
+        coeffs = theta_coeffs(form, 30)
+        path = tmp_path / f"theta-{form_hash(form)}.json"
+        path.write_text(json.dumps({
+            "formHash": form_hash(form), "prec": 30,
+            "checksum": hashlib.sha256(json.dumps(coeffs).encode()).hexdigest(),
+            "coeffs": coeffs}))
+        other = tmp_path / "notes.txt"
+        other.write_text("left alone")
+        with caplog.at_level(logging.INFO):
+            assert cache_theta(form, 30, tmp_path) == coeffs
+        old = [r for r in caplog.records if "format" in r.message]
+        assert old and all(r.levelno == logging.INFO for r in old)
+        assert not any(r.levelno >= logging.WARNING for r in caplog.records)
+        data = json.loads(path.read_text())
+        assert data["format"] == 2 and data["prec"] == 30
+        assert other.read_text() == "left alone"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [path.name, other.name])
+
+    def test_values_are_python_ints(self, form, tmp_path):
+        cache_theta(form, 40, tmp_path)
+        warm = cache_theta(form, 40, tmp_path)
+        assert all(type(c) is int for c in warm)
+        assert json.loads(json.dumps(warm)) == theta_coeffs(form, 40)
+
+    def test_coefficient_beyond_int64_writes_nothing(self, form, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(qflab.cache, "theta_coeffs",
+                            lambda f, prec: [1] + [2**63] * prec)
+        with pytest.raises(OverflowError):
+            cache_theta(form, 5, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_smaller_writer_keeps_larger_entry(self, form, tmp_path,
+                                               monkeypatch):
+        real = qflab.cache.theta_coeffs
+
+        def racing(f, prec):
+            if prec == 30:
+                # another writer stores a larger entry meanwhile
+                cache_theta(f, 100, tmp_path)
+            return real(f, prec)
+
+        monkeypatch.setattr(qflab.cache, "theta_coeffs", racing)
+        assert cache_theta(form, 30, tmp_path) == theta_coeffs(form, 30)
+        files = list(tmp_path.iterdir())
+        assert len(files) == 1
+        assert json.loads(files[0].read_text())["prec"] == 100
+        assert cache_theta(form, 100, tmp_path) == theta_coeffs(form, 100)
 
     def test_no_directory_means_plain_compute(self, form, monkeypatch):
         monkeypatch.delenv("QFLAB_CACHE", raising=False)
@@ -75,6 +177,18 @@ class TestCacheIntegration:
                                             cache=make_cache(tmp_path))
         assert plain.to_dict() == cached_cold.to_dict() == cached_warm.to_dict()
         assert list(tmp_path.glob("theta-*.json"))
+
+    def test_cli_theta_twice_from_one_file(self, tmp_path, capsys):
+        argv = ["theta", "--form", "1,2,3,10", "--prec", "500",
+                "--cache-dir", str(tmp_path), "--out", "json"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["coeffs"] == theta_coeffs(
+            QuadForm.diagonal((1, 2, 3, 10)), 500)
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_make_cache_none(self, monkeypatch):
         monkeypatch.delenv("QFLAB_CACHE", raising=False)
