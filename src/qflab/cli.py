@@ -87,15 +87,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_REGULARITY_COLUMNS = ["form", "dF", "ms", "verdict",
+                       "witness_n", "expected", "actual"]
+
+
+def _print_csv(header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    print(buf.getvalue(), end="")
+
+
 def _emit_suite(report, out: str) -> int:
     if out == "json":
         print(report.to_json())
     elif out == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["suite", "check", "verdict", "detail"])
-        writer.writerows(report.csv_rows())
-        print(buf.getvalue(), end="")
+        _print_csv(["suite", "check", "verdict", "detail"], report.csv_rows())
     else:
         print(report.to_text())
     return 0 if report.passed else 1
@@ -135,12 +143,7 @@ def _dispatch(args) -> int:
         if args.out == "json":
             print(report.to_json())
         elif args.out == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["form", "dF", "ms", "verdict",
-                             "witness_n", "expected", "actual"])
-            writer.writerow(report.csv_row())
-            print(buf.getvalue(), end="")
+            _print_csv(_REGULARITY_COLUMNS, [report.csv_row()])
         else:
             print(f"form <{report.form.describe()}>: {report.verdict}"
                   + (f", witness n={report.counterexample[0]} expected "
@@ -212,13 +215,8 @@ def _dispatch(args) -> int:
         if args.out == "json":
             print(json.dumps(result.to_dict(), indent=2))
         elif args.out == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["form", "dF", "ms", "verdict",
-                             "witness_n", "expected", "actual"])
-            for diag in result.survivors:
-                writer.writerow(result.reports[diag].csv_row())
-            print(buf.getvalue(), end="")
+            _print_csv(_REGULARITY_COLUMNS, [result.reports[diag].csv_row()
+                                             for diag in result.survivors])
         else:
             print(f"examined {result.examined}, filtered {result.filtered_out}, "
                   f"{len(result.survivors)} survivors "

@@ -4,6 +4,11 @@ Series carry a grading denominator D: index j holds the coefficient of
 q^(j/D).  Eta factors live at D = 24 (for the q^(1/24) prefactor); theta
 series and integral-weight quotients at D = 1.  All coefficients are
 exact Python integers.
+
+Expansions come from the Euler product through `_mul_trunc`.  The
+closed forms they are checked against (the classical unary identities
+and the level-120 quotient coefficients) are `_product`s of theta.py's
+twisted unary thetas `_theta_unary`, so the two sides share no kernel.
 """
 
 from __future__ import annotations
@@ -11,11 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
+
+import numpy as np
 
 from .arith import factorize, kronecker
 from .forms import QuadForm
-from .theta import _inverse_trunc, _mul_trunc, theta_coeffs
+from .theta import (_inverse_trunc, _mul_trunc, _product, _theta_unary,
+                     theta_coeffs)
 
 
 @dataclass(frozen=True)
@@ -310,19 +318,6 @@ def sturm_bound(level: int, weight: int) -> int:
 
 # -- classical single-variable expansions -------------------------------
 
-def _char_series_squares(char_top: int, ratio: int, prec24: int,
-                         weight_factor: bool = False) -> QSeries:
-    """(1/2) sum_{n in Z} (char_top|n) [n] q^(ratio n^2 / 24) as D = 24."""
-    coeffs = [0] * (prec24 + 1)
-    n = 1
-    while ratio * n * n <= prec24:
-        chi = kronecker(char_top, n)
-        if chi:
-            coeffs[ratio * n * n] = chi * (n if weight_factor else 1)
-        n += 1
-    return QSeries(24, 0, tuple(coeffs))
-
-
 def divisor_character_sum(n: int, char_bottom: int = 3) -> int:
     """sum over d | n of kronecker(d, char_bottom)."""
     total = 0
@@ -330,6 +325,16 @@ def divisor_character_sum(n: int, char_bottom: int = 3) -> int:
         if n % d == 0:
             total += kronecker(d, char_bottom)
     return total
+
+
+def _divisor_series(step: int, prec: int) -> np.ndarray:
+    """sum over c >= 1, 3 !| c of divisor_character_sum(c) q^(step c),
+    through q^prec."""
+    out = np.zeros(prec + 1, dtype=np.int64)
+    for c in range(1, prec // step + 1):
+        if c % 3:
+            out[step * c] = divisor_character_sum(c)
+    return out
 
 
 @dataclass(frozen=True)
@@ -358,27 +363,24 @@ def unary_theta_identities(prec: int) -> list[IdentityCheck]:
                 return
         checks.append(IdentityCheck(name, True, None))
 
+    def squares(ratio, char, weight=0):
+        """(1/2) sum_{n in Z} (char|n) n^weight q^(ratio n^2 / 24)."""
+        half = _theta_unary(ratio, prec24, char, weight) // 2
+        return QSeries(24, 0, tuple(half.tolist()))
+
     eta1 = eta_expansion(1, 1, prec24)
-    compare("eta(z) = (1/2) sum (12|n) q^(n^2/24)",
-            eta1, _char_series_squares(12, 1, prec24))
+    compare("eta(z) = (1/2) sum (12|n) q^(n^2/24)", eta1, squares(1, 12))
 
     lhs = eta_expansion(2, 2, prec24) * eta_expansion(1, -1, prec24)
     compare("eta(2z)^2/eta(z) = (1/2) sum (4|n) q^(n^2/8)",
-            lhs, _char_series_squares(4, 3, prec24))
+            lhs, squares(3, 4))
 
     compare("eta(z)^3 = (1/2) sum (-4|n) n q^(n^2/8)",
-            eta_expansion(1, 3, prec24),
-            _char_series_squares(-4, 3, prec24, weight_factor=True))
+            eta_expansion(1, 3, prec24), squares(3, -4, 1))
 
     lhs = eta_expansion(3, 3, prec24) * eta_expansion(1, -1, prec24)
-    coeffs = [0] * (prec24 + 1)
-    n = 1
-    while 8 * n <= prec24:
-        if n % 3:
-            coeffs[8 * n] = divisor_character_sum(n)
-        n += 1
     compare("eta(3z)^3/eta(z) = sum_{3 !| n} (sum_{d|n} (d|3)) q^(n/3)",
-            lhs, QSeries(24, 0, tuple(coeffs)))
+            lhs, QSeries(24, 0, tuple(_divisor_series(8, prec24).tolist())))
     return checks
 
 
@@ -398,91 +400,36 @@ def _exact_div(value: int, divisor: int) -> int:
     return value // divisor
 
 
+# (scale, divisor, twisted unary factors (a, char, weight)): q^n has
+# entry scale * n of the factors' product over the divisor as its
+# coefficient; quotient 3 also takes the divisor series of step 160
+_QUOTIENT_SUMS = {
+    1: (8, 4, ((1, 4, 0), (15, -4, 1))),
+    2: (24, 16, ((2, 12, 0), (10, 12, 0), (15, 4, 0), (45, 4, 0))),
+    3: (24, 4, ((3, 4, 0), (5, 12, 0))),
+}
+_QUOTIENT_TABLES: dict[int, np.ndarray] = {}
+
+
 def quotient_coefficient(i: int, n: int) -> int:
     """Coefficient of q^n of the i-th level-120 quotient as a finite
-    lattice sum (all divisions exact)."""
+    lattice sum (all divisions exact).  The product of each quotient is
+    kept and grown geometrically when a query passes its end."""
     if n < 1:
         raise ValueError("n must be positive")
-    if i == 1:
-        total = 0
-        target = 8 * n
-        a = 0
-        while a * a <= target:
-            rest = target - a * a
-            if rest % 15 == 0:
-                b2 = rest // 15
-                b = _isqrt_exact(b2)
-                if b is not None:
-                    for aa in {a, -a}:
-                        for bb in ({b, -b} if b else {0}):
-                            total += kronecker(4, aa) * kronecker(-4, bb) * bb
-            a += 1
-        return _exact_div(total, 4)
-    if i == 2:
-        target = 24 * n
-        u = _pair_table(2, 10, 12, 12, target)
-        v = _pair_table(15, 45, 4, 4, target)
-        total = sum(u[w] * v[target - w] for w in range(target + 1))
-        return _exact_div(total, 16)
-    if i == 3:
-        total = 0
-        target = 24 * n
-        c = 1
-        while 160 * c <= target - 8:
-            if c % 3:
-                rest = target - 160 * c
-                sigma = divisor_character_sum(c)
-                if sigma:
-                    a = 0
-                    pair = 0
-                    while 3 * a * a <= rest:
-                        b2, rem = divmod(rest - 3 * a * a, 5)
-                        if rem == 0:
-                            b = _isqrt_exact(b2)
-                            if b is not None:
-                                for aa in {a, -a}:
-                                    for bb in ({b, -b} if b else {0}):
-                                        pair += kronecker(4, aa) * kronecker(12, bb)
-                        a += 1
-                    total += sigma * pair
-            c += 1
-        return _exact_div(total, 4)
-    raise ValueError("i must be 1, 2 or 3")
-
-
-def _isqrt_exact(v: int) -> int | None:
-    if v < 0:
-        return None
-    s = isqrt(v)
-    return s if s * s == v else None
-
-
-_PAIR_CACHE: dict[tuple[int, int, int, int], list[int]] = {}
-
-
-def _pair_table(c1: int, c2: int, k1: int, k2: int, vmax: int) -> list[int]:
-    """table[v] = sum over c1 a^2 + c2 b^2 = v of (k1|a)(k2|b)."""
-    key = (c1, c2, k1, k2)
-    table = _PAIR_CACHE.get(key)
-    if table is not None and len(table) > vmax:
-        return table
-    table = [0] * (vmax + 1)
-    a = 0
-    while c1 * a * a <= vmax:
-        ka_pos = kronecker(k1, a)
-        ka_neg = kronecker(k1, -a)
-        b = 0
-        while c1 * a * a + c2 * b * b <= vmax:
-            v = c1 * a * a + c2 * b * b
-            kb_pos = kronecker(k2, b)
-            kb_neg = kronecker(k2, -b)
-            ks_a = ka_pos + (ka_neg if a else 0)
-            ks_b = kb_pos + (kb_neg if b else 0)
-            table[v] += ks_a * ks_b
-            b += 1
-        a += 1
-    _PAIR_CACHE[key] = table
-    return table
+    if i not in _QUOTIENT_SUMS:
+        raise ValueError("i must be 1, 2 or 3")
+    scale, divisor, factors = _QUOTIENT_SUMS[i]
+    m = scale * n
+    table = _QUOTIENT_TABLES.get(i)
+    if table is None or len(table) <= m:
+        prec = max(2 * m, 1024)
+        arrays = [_theta_unary(a, prec, char, weight)
+                  for a, char, weight in factors]
+        if i == 3:
+            arrays.append(_divisor_series(160, prec))
+        table = _QUOTIENT_TABLES[i] = _product(arrays, prec)
+    return _exact_div(int(table[m]), divisor)
 
 
 def theta_qseries(form: QuadForm, prec: int) -> QSeries:

@@ -29,10 +29,6 @@ class SearchFilters:
     mod3: bool = True
     mod5: bool = True
 
-    @property
-    def any_active(self) -> bool:
-        return self.lemma41 or self.mod3 or self.mod5
-
 
 @dataclass(frozen=True)
 class SearchConfig:

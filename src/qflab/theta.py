@@ -8,9 +8,12 @@ that coordinate in their own way: `_theta_sweep` on a numpy range,
 `represent_count` by an exact integer root test, `short_vectors` by
 listing the integer values.
 
-`_product` is the one way to multiply theta arrays: `theta_coeffs`,
-both halves of `RepQuery` and the search filter pairs fold their
-factors with it, through the int64 `_convolve_trunc`.
+`_theta_unary` is the one square-series kernel: the theta of <a>, or
+its twist by a Kronecker character and s^weight, which the q-series
+lattice sums use.  `_product` is the one way to multiply theta arrays:
+`theta_coeffs`, both halves of `RepQuery`, the search filter pairs and
+those lattice sums fold their factors with it, through the int64
+`_convolve_trunc`.
 
 `_mul_trunc` and `_inverse_trunc` are the one exact Python-int product
 and inverse of truncated series, looping over nonzero entries only; the
@@ -24,6 +27,7 @@ from math import isqrt
 
 import numpy as np
 
+from .arith import kronecker
 from .forms import QuadForm
 
 _FLUSH = 1 << 21
@@ -123,13 +127,23 @@ def _t_range(a2: int, a1: int, a0: int, bound: int) -> tuple[int, int]:
     return (-a1 - s) // (2 * a2) - 1, (-a1 + s) // (2 * a2) + 2
 
 
-def _theta_unary(a: int, prec: int) -> np.ndarray:
+def _theta_unary(a: int, prec: int, char: int = 1,
+                 weight: int = 0) -> np.ndarray:
+    """Coefficients through q^prec of the twisted unary theta
+    sum over s in Z of kronecker(char, s) s^weight q^(a s^2); the
+    default is the theta series of <a>."""
     out = np.zeros(prec + 1, dtype=np.int64)
-    out[0] = 1
-    t = 1
-    while a * t * t <= prec:
-        out[a * t * t] = 2
-        t += 1
+    top = isqrt(prec // a)
+    if char == 1 and weight == 0:
+        out[a * np.arange(1, top + 1) ** 2] = 2
+        out[0] = 1
+        return out
+    out[0] = kronecker(char, 0) * 0 ** weight
+    # the term of s = -t is (char|-1) (-1)^weight times that of s = t,
+    # so the two double or cancel
+    if (-1 if char < 0 else 1) * (-1) ** weight == 1:
+        for t in range(1, top + 1):
+            out[a * t * t] = 2 * kronecker(char, t) * t ** weight
     return out
 
 
@@ -274,9 +288,8 @@ def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
     orthogonal block, blocks combined by exact convolution."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return [int(v) for v in _product(
-        [_theta_sweep(sub.hessian, n_max)
-         for _, sub in form.orthogonal_blocks()], n_max)]
+    return _product([_theta_sweep(sub.hessian, n_max)
+                     for _, sub in form.orthogonal_blocks()], n_max).tolist()
 
 
 def represent_count(form: QuadForm, n: int) -> int:

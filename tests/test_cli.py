@@ -36,6 +36,13 @@ class TestCli:
         data = json.loads(out)
         assert data["counterexample"]["n"] == 10
 
+    def test_sreg_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "sreg", "--form", "1,2,3,3",
+                               "--bound", "20", "--out", "csv")
+        assert code == 1
+        assert out == ('form,dF,ms,verdict,witness_n,expected,actual\r\n'
+                       '"1,2,3,3",288,1,fail,10,210,146\r\n')
+
     def test_usage_errors(self, capsys):
         code, _, err = run_cli(capsys, "sreg", "--form", "1,2,x")
         assert code == 2 and "error" in err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflab import qseries
 from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.qseries import (EtaQuotient, LEVEL120_QUOTIENTS, QSeries,
@@ -207,17 +208,26 @@ class TestLemma54Coefficients:
         assert quotient_coefficient(2, 3) == 1
         assert quotient_coefficient(1, 17) == -2
 
-    def test_match_expansions_to_60(self):
-        for i in (1, 2, 3):
-            series = eta_quotient_expansion(LEVEL120_QUOTIENTS[i], 60)
-            for n in range(1, 61):
-                assert quotient_coefficient(i, n) == series.coeff(n), (i, n)
+    def test_match_expansions_to_300(self, monkeypatch):
+        # a fresh memo per order: descending builds each table once,
+        # ascending grows it past its end again and again
+        for order in (range(300, 0, -1), range(1, 301)):
+            monkeypatch.setattr(qseries, "_QUOTIENT_TABLES", {})
+            for i in (1, 2, 3):
+                series = eta_quotient_expansion(LEVEL120_QUOTIENTS[i], 300)
+                for n in order:
+                    assert quotient_coefficient(i, n) == series.coeff(n), (i, n)
 
     def test_vanishing_classes(self):
         for i in (1, 2, 3):
-            for n in range(1, 101):
+            for n in range(1, 301):
                 if n % 5 in (1, 4):
                     assert quotient_coefficient(i, n) == 0
+
+    @pytest.mark.parametrize("i, n", [(0, 5), (4, 5), (1, 0), (2, 0)])
+    def test_rejects_unknown_quotient_and_index(self, i, n):
+        with pytest.raises(ValueError):
+            quotient_coefficient(i, n)
 
     def test_divisor_character_sum(self):
         assert divisor_character_sum(1) == 1

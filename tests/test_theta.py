@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qflab import theta
 from qflab._matrix import int_det
+from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.lattices import all_bundled_forms
 from qflab.theta import (RepQuery, _convolve_trunc, _inverse_trunc,
@@ -97,6 +98,8 @@ class TestThetaCoeffs:
         assert theta_coeffs(QuadForm.diagonal((1, 2, 3, 10)), 3) == [1, 2, 2, 6]
         assert theta_coeffs(QuadForm.diagonal((1, 2, 3, 10)), 0) == [1]
         assert theta_coeffs(QuadForm.diagonal((1, 1, 3, 5)), 2) == [1, 4, 4]
+        assert all(type(c) is int
+                   for c in theta_coeffs(QuadForm.diagonal((1, 2)), 50))
 
     @pytest.mark.parametrize("diag", [(1, 1, 1, 1), (1, 2, 3, 10), (1, 1, 3)])
     def test_matches_point_counts(self, diag):
@@ -369,6 +372,18 @@ class TestSeriesKernels:
         inv = _inverse_trunc(a, n)
         assert len(inv) == n + 1
         assert _naive_product(a, inv, n) == [1] + [0] * n
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 50), st.integers(0, 3000),
+           st.sampled_from((1, 4, -4, 12, -3, 5, 8)), st.integers(0, 1))
+    def test_twisted_unary_matches_definition(self, a, prec, char, weight):
+        expected = [0] * (prec + 1)
+        for s in range(-isqrt(prec), isqrt(prec) + 1):
+            if a * s * s <= prec:
+                expected[a * s * s] += kronecker(char, s) * s ** weight
+        got = _theta_unary(a, prec, char, weight)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
 
     def test_inverse_trunc_needs_unit_lead(self):
         with pytest.raises(ValueError):
