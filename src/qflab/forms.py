@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import index
 
-from ._matrix import conjugate, hnf_basis, int_det, integer_kernel
+from ._matrix import conjugate, hnf_basis, integer_kernel
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,16 @@ class QuadForm:
             for j in range(i):
                 if h[i][j] != h[j][i]:
                     raise ValueError("hessian must be symmetric")
-        for lead in range(1, k + 1):
-            if int_det([row[:lead] for row in h[:lead]]) <= 0:
+        # Bareiss pivots a[i][i] are the leading principal minors; the last is det H
+        a = [list(row) for row in h]
+        for i in range(k):
+            if a[i][i] <= 0:
                 raise ValueError("form is not positive definite")
+            prev = a[i - 1][i - 1] if i else 1
+            for r in range(i + 1, k):
+                for c in range(i + 1, k):
+                    a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+        object.__setattr__(self, "_discriminant", a[-1][-1])
 
     # -- constructors -------------------------------------------------
 
@@ -84,7 +91,7 @@ class QuadForm:
 
     @property
     def discriminant(self) -> int:
-        return int_det(self.hessian)
+        return self._discriminant
 
     @property
     def diag_q(self) -> tuple[int, ...]:

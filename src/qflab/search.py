@@ -4,7 +4,9 @@ square-regularity check, with sound good-prime pre-filters.
 Each filter is one instance of the full check (the equation at n = 3, 5
 or 11 when that prime is coprime to the discriminant), so filtered and
 unfiltered runs return identical survivor sets whenever the full bound
-covers the filter primes.
+covers the filter primes.  For each a the filters test every (b, c) at
+once with numpy, from the theta of <1,a>; each form that passes them
+gets one full check.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import comb, isqrt
 
 import numpy as np
 
@@ -66,22 +68,32 @@ class SearchResult:
         }
 
 
-def _pair_theta(a: int, b: int) -> np.ndarray:
-    """Representation counts of a x^2 + b y^2 through 121 = 11^2, the
-    largest filter query; search_diagonal memoises it per search."""
-    return _product([_theta_unary(a, 121), _theta_unary(b, 121)], 121)
-
-
-def _good_prime_instance(pair_theta, a: int, b: int, c: int,
-                         d_f: int, p: int) -> bool:
-    """The regularity equation at n = p for a good prime p:
-    r(p^2) = r(1) h_p(dF, 1)."""
-    front = pair_theta(1, a)
-    back = pair_theta(b, c)
-    m = p * p
-    actual = int(np.dot(front[:m + 1], back[m::-1]))
-    r1 = 2 * (1 + (a == 1) + (b == 1) + (c == 1))
-    return actual == r1 * h_factor(d_f, p, 1, 4)
+def _filter_pass(a: int, c_max: int, primes):
+    """Arrays (b, c, keep) over a <= b <= c <= c_max in search order:
+    keep holds where <1,a,b,c> satisfies r(p^2) = r(1) h_p(dF, 1) for
+    each p in primes coprime to dF = 16abc.  r(p^2) is the sum over v, w
+    of theta_<1,a>[p^2 - b v^2 - c w^2] (v, w bounded through b, c >= a);
+    h_p(dF, 1) depends on abc only through kronecker(abc, p), so it is
+    read from a table indexed by abc mod p."""
+    bs, cs = np.triu_indices(c_max - a + 1)
+    bs += a
+    cs += a
+    front = _product([_theta_unary(1, 121), _theta_unary(a, 121)], 121)
+    r1 = 2 * (1 + (a == 1) + (bs == 1) + (cs == 1))
+    keep = np.ones(len(bs), dtype=bool)
+    for p in primes:
+        m = p * p
+        rep = np.zeros(len(bs), dtype=np.int64)
+        for v in range(isqrt(m // a) + 1):
+            for w in range(isqrt((m - a * v * v) // a) + 1):
+                idx = m - bs * (v * v) - cs * (w * w)
+                ok = idx >= 0
+                rep[ok] += (2 - (v == 0)) * (2 - (w == 0)) * front[idx[ok]]
+        residue = a * bs * cs % p
+        table = np.array([h_factor(16 * t, p, 1, 4) if t else 0
+                          for t in range(p)])
+        keep &= (residue == 0) | (rep == r1 * table[residue])
+    return bs, cs, keep
 
 
 def search_diagonal(config: SearchConfig, progress: bool = False,
@@ -93,43 +105,30 @@ def search_diagonal(config: SearchConfig, progress: bool = False,
     filters = config.filters
     filter_primes = [p for p, flag in ((3, filters.mod3), (5, filters.mod5),
                                        (11, filters.lemma41)) if flag]
-    pair_theta = lru_cache(maxsize=None)(_pair_theta)
     survivors: list[tuple[int, int, int, int]] = []
     reports: dict[tuple[int, int, int, int], RegularityReport] = {}
     examined = 0
     filtered = 0
-    total = sum(1 for a in range(1, config.c_max + 1)
-                for b in range(a, config.c_max + 1)
-                for c in range(b, config.c_max + 1))
+    total = comb(config.c_max + 2, 3)
     last_tick = start
     for a in range(1, config.c_max + 1):
-        for b in range(a, config.c_max + 1):
-            for c in range(b, config.c_max + 1):
-                examined += 1
-                d_f = 16 * a * b * c
-                pruned = False
-                for p in filter_primes:
-                    if d_f % p == 0:
-                        continue
-                    if not _good_prime_instance(pair_theta, a, b, c,
-                                                d_f, p):
-                        pruned = True
-                        break
-                if pruned:
-                    filtered += 1
-                    continue
-                form = QuadForm.diagonal((1, a, b, c))
-                report = is_strongly_s_regular(form, config.bound, cache=cache)
-                if report.passed:
-                    survivors.append((1, a, b, c))
-                    reports[(1, a, b, c)] = report
-                if progress:
-                    now = time.monotonic()
-                    if now - last_tick > 2.0:
-                        print(f"search: {examined}/{total} examined, "
-                              f"{len(survivors)} survivors",
-                              file=sys.stderr, flush=True)
-                        last_tick = now
+        bs, cs, keep = _filter_pass(a, config.c_max, filter_primes)
+        idx = np.flatnonzero(keep)
+        filtered += len(bs) - len(idx)
+        for i, b, c in zip(idx.tolist(), bs[idx].tolist(), cs[idx].tolist()):
+            form = QuadForm.diagonal((1, a, b, c))
+            report = is_strongly_s_regular(form, config.bound, cache=cache)
+            if report.passed:
+                survivors.append((1, a, b, c))
+                reports[(1, a, b, c)] = report
+            if progress:
+                now = time.monotonic()
+                if now - last_tick > 2.0:
+                    print(f"search: {examined + i + 1}/{total} examined, "
+                          f"{len(survivors)} survivors",
+                          file=sys.stderr, flush=True)
+                    last_tick = now
+        examined += len(bs)
     survivors = _dedupe_isometric(survivors)
     elapsed = time.monotonic() - start
     return SearchResult(config, survivors, examined, filtered, elapsed,
@@ -141,8 +140,7 @@ def _dedupe_isometric(diagonals):
     kept_forms: list[QuadForm] = []
     for diag in sorted(diagonals):
         form = QuadForm.diagonal(diag)
-        if any(form.discriminant == other.discriminant
-               and is_isometric(form, other) for other in kept_forms):
+        if any(is_isometric(form, other) for other in kept_forms):
             continue
         kept.append(diag)
         kept_forms.append(form)

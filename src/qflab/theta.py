@@ -11,9 +11,9 @@ listing the integer values.
 `_theta_unary` is the one square-series kernel: the theta of <a>, or
 its twist by a Kronecker character and s^weight, which the q-series
 lattice sums use.  `_product` is the one way to multiply theta arrays:
-`theta_coeffs`, both halves of `RepQuery`, the search filter pairs and
-those lattice sums fold their factors with it, through the int64
-`_convolve_trunc`.
+`theta_coeffs`, both halves of `RepQuery`, the search filters' theta of
+<1,a> and those lattice sums fold their factors with it, through the
+int64 `_convolve_trunc`.
 
 `_mul_trunc` and `_inverse_trunc` are the one exact Python-int product
 and inverse of truncated series, looping over nonzero entries only; the
@@ -36,6 +36,7 @@ _INT64_GUARD = 1 << 62
 _SPARSE_MIN_WORK = 1 << 20
 _SPARSE_DENSITY = 16
 _PAIR_CHUNK = 1 << 17
+_PARTIAL_MAX = 4096  # RepQuery builds past this go straight to prec
 
 
 def _ldl(h):
@@ -330,10 +331,14 @@ class RepQuery:
     """Point queries r(m) for m <= prec.
 
     The orthogonal blocks of the form are split into two halves of
-    nearly equal rank, and the theta vector of each half, the _product
-    of its block thetas (one sweep or cache lookup per block), is built
-    once.  A query is then one dot product of the halves, or an array
-    lookup when the form is a single block and the second half is empty.
+    nearly equal rank; a query is one dot product of the halves' theta
+    vectors, each the _product of its block thetas.  Halves of blocks of
+    rank <= 2 grow on demand: a query past the built precision rebuilds
+    both at max(m, 4 x built, 64), or at prec once that passes
+    _PARTIAL_MAX, so a failing check stops at a small sweep.  A single
+    block (queried by array lookup) or a block of rank >= 3 (a walker
+    step per tail) is built at prec at once.  Only the build at prec
+    asks `cache`, one lookup per block.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
@@ -342,19 +347,26 @@ class RepQuery:
         self._memo: dict[int, int] = {}
         blocks = [sub for _, sub in form.orthogonal_blocks()]
         blocks.sort(key=lambda b: b.rank, reverse=True)
-        halves: list[list[QuadForm]] = [[blocks[0]], []]
+        self._halves = halves = [[blocks[0]], []]
         for blk in blocks[1:]:
             halves.sort(key=lambda part: sum(b.rank for b in part))
             halves[0].append(blk)
-        theta = cache or (lambda block, n: _theta_sweep(block.hessian, n))
-        self._a, self._b = (
-            _product([np.asarray(theta(b, prec), dtype=np.int64)
-                      for b in half], prec)
-            for half in halves)
-        if len(self._b) > 1:
-            peak = int(self._a.max()) * int(self._b.max()) * (prec + 1)
-            if peak >= _INT64_GUARD:
-                raise OverflowError("theta convolution would exceed int64")
+        self._cache = cache
+        self._built = -1
+        if not halves[1] or blocks[0].rank > 2:
+            self._build(prec)
+
+    def _build(self, n: int) -> None:
+        # free the old halves first, so old and new never coexist in memory
+        self._a, self._b, self._built = None, None, -1
+        theta = ((lambda block, prec: _theta_sweep(block.hessian, prec))
+                 if n < self.prec or self._cache is None else self._cache)
+        a, b = (_product([np.asarray(theta(blk, n), dtype=np.int64)
+                          for blk in half], n)
+                for half in self._halves)
+        if len(b) > 1 and int(a.max()) * int(b.max()) * (n + 1) >= _INT64_GUARD:
+            raise OverflowError("theta convolution would exceed int64")
+        self._a, self._b, self._built = a, b, n
 
     def count(self, m: int) -> int:
         if m < 0:
@@ -364,6 +376,9 @@ class RepQuery:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
+        if m > self._built:
+            n = max(m, 4 * self._built, 64)
+            self._build(self.prec if n > _PARTIAL_MAX else min(n, self.prec))
         if len(self._b) == 1:
             val = int(self._a[m])
         else:

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import permutations
 
 import pytest
 
@@ -32,6 +34,36 @@ class TestQuadForm:
             QuadForm(((2, 0), (0, -2)))  # not positive definite
         with pytest.raises(ValueError):
             QuadForm.diagonal((1,) * 5)  # rank too large
+
+    def test_validation_and_discriminant_match_leading_minors(self):
+        """Sylvester's criterion and det H from the Leibniz formula
+        against the one elimination of the constructor."""
+        def det(m):
+            total = 0
+            for perm in permutations(range(len(m))):
+                inversions = sum(perm[i] > perm[j] for j in range(len(m))
+                                 for i in range(j))
+                term = (-1) ** inversions
+                for i, j in enumerate(perm):
+                    term *= m[i][j]
+                total += term
+            return total
+
+        rng = random.Random(2019)
+        for _ in range(3000):
+            k = rng.randint(1, 4)
+            h = [[0] * k for _ in range(k)]
+            for i in range(k):
+                h[i][i] = 2 * rng.randint(-1, 5)
+                for j in range(i):
+                    h[i][j] = h[j][i] = rng.randint(-4, 4)
+            definite = all(det([row[:n] for row in h[:n]]) > 0
+                           for n in range(1, k + 1))
+            if definite:
+                assert QuadForm(h).discriminant == det(h), h
+            else:
+                with pytest.raises(ValueError):
+                    QuadForm(h)
 
     @pytest.mark.parametrize("hessian", [
         ((2.9, 0), (0, 2)),  # would truncate to 2

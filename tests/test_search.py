@@ -1,10 +1,11 @@
-import numpy as np
 import pytest
 
+from qflab.arith import h_factor
+from qflab.forms import QuadForm
 from qflab.lattices import classification_passing
-from qflab.search import (SearchConfig, SearchFilters, _pair_theta,
+from qflab.search import (SearchConfig, SearchFilters, _filter_pass,
                           search_diagonal)
-from qflab.theta import _theta_unary
+from qflab.theta import represent_count
 
 
 class TestSearchDiagonal:
@@ -55,11 +56,36 @@ class TestSearchDiagonal:
             SearchConfig(3, 0)
 
 
-def test_filter_pairs_match_numpy_convolve():
+    @pytest.mark.parametrize("filters, filtered_out", [
+        (SearchFilters(True, False, False), 9102),
+        (SearchFilters(False, True, False), 3631),
+        (SearchFilters(False, False, True), 5951),
+        (SearchFilters(), 10880),
+        (SearchFilters(False, False, False), 0),
+    ])
+    def test_cmax40_counts(self, filters, filtered_out):
+        """examined, filteredOut and the 34 survivors of cmax 40 at
+        bound 50, as the per-form filters gave them."""
+        result = search_diagonal(SearchConfig(40, 50, filters))
+        assert result.examined == 11480
+        assert result.filtered_out == filtered_out
+        assert result.survivors == sorted(
+            e.diagonal for e in classification_passing())
+
+
+@pytest.mark.parametrize("p", [3, 5, 11])
+def test_filter_pass_matches_point_counts(p):
+    """Each batched filter against the equation r(p^2) = r(1) h_p(dF, 1)
+    evaluated with the lattice walker, form by form."""
     for a in range(1, 31):
-        for b in range(a, 31):
-            expected = np.convolve(_theta_unary(a, 121),
-                                   _theta_unary(b, 121))[:122]
-            got = _pair_theta(a, b)
-            assert got.dtype == np.int64, (a, b)
-            assert np.array_equal(got, expected), (a, b)
+        bs, cs, keep = _filter_pass(a, 30, [p])
+        pairs = [(b, c) for b in range(a, 31) for c in range(b, 31)]
+        assert list(zip(bs.tolist(), cs.tolist())) == pairs
+        for (b, c), kept in zip(pairs, keep.tolist()):
+            if a * b * c % p == 0:
+                assert kept
+                continue
+            r1 = 2 * (1 + (a == 1) + (b == 1) + (c == 1))
+            form = QuadForm.diagonal((1, a, b, c))
+            assert kept == (represent_count(form, p * p)
+                            == r1 * h_factor(16 * a * b * c, p, 1, 4)), (a, b, c)

@@ -13,6 +13,7 @@ from qflab._matrix import int_det
 from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.lattices import all_bundled_forms
+from qflab.regularity import is_strongly_s_regular
 from qflab.theta import (RepQuery, _convolve_trunc, _inverse_trunc,
                          _mul_trunc, _theta_unary, represent_count,
                          short_vectors, theta_coeffs)
@@ -256,6 +257,90 @@ class TestRepQuery:
         assert calls == [(form, 60)]
         assert [query.count(m) for m in range(61)] == theta_coeffs(form, 60)
 
+    @pytest.mark.parametrize("form", [
+        QuadForm.diagonal((1, 2, 3, 10)),
+        QuadForm.block_diag(1, 2, [[2, 1], [1, 5]]),
+        QuadForm.block_diag([[2, 1], [1, 3]], [[2, -1], [-1, 4]]),
+        QuadForm.block_diag([[1, 1, 0], [1, 3, 1], [0, 1, 4]], 7),
+        QuadForm(((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 0), (0, 0, 0, 2))),
+    ], ids=["1+1+1+1", "1+1+2", "2+2", "3+1", "3+1 odd cross terms"])
+    def test_two_halves_in_any_query_order(self, form):
+        """Two-half forms give theta_coeffs whatever the order of the
+        queries."""
+        prec = 5000
+        coeffs = theta_coeffs(form, prec)
+        ascending = list(range(prec + 1))
+        shuffled = ascending[:]
+        random.Random(7).shuffle(shuffled)
+        for order in (ascending, ascending[::-1], shuffled):
+            query = RepQuery(form, prec)
+            assert [query.count(m) for m in order] == \
+                [coeffs[m] for m in order]
+
+    def test_halves_grow_4x_then_jump_to_prec(self):
+        """Rising queries build halves of binary blocks at 64, 256, 1024,
+        4096, then at prec, dropping the old halves before each sweep;
+        a form with a ternary block builds at prec at construction."""
+        prec = 20000
+        sweep = theta._theta_sweep
+        builds = []
+
+        def recording_sweep(h, n):
+            builds.append((n, getattr(query, "_a", None) is None))
+            return sweep(h, n)
+
+        form = QuadForm.block_diag([[2, 1], [1, 3]], [[2, -1], [-1, 4]])
+        coeffs = theta_coeffs(form, prec)
+        with mock.patch.object(theta, "_theta_sweep", recording_sweep):
+            query = RepQuery(form, prec)
+            for m in range(0, prec + 1, 7):
+                assert query.count(m) == coeffs[m]
+        assert builds == [(n, True) for n in (64, 256, 1024, 4096, prec)
+                          for _ in range(2)]
+        builds.clear()
+        form = QuadForm.block_diag([[1, 1, 0], [1, 3, 1], [0, 1, 4]], 7)
+        coeffs = theta_coeffs(form, 12)
+        with mock.patch.object(theta, "_theta_sweep", recording_sweep):
+            query = RepQuery(form, prec)
+            assert query.count(12) == coeffs[12]
+        assert [n for n, _ in builds] == [prec, prec]
+
+    def test_cache_only_for_the_build_at_prec(self):
+        calls = []
+
+        def cache(block, prec):
+            calls.append((block, prec))
+            return theta_coeffs(block, prec)
+
+        report = is_strongly_s_regular(QuadForm.diagonal((1, 2, 3, 10)), 20,
+                                       cache=cache)
+        assert report.passed
+        assert calls == [(QuadForm.diagonal((q,)), 400)
+                         for q in (1, 10, 2, 3)]
+        calls.clear()
+        report = is_strongly_s_regular(QuadForm.diagonal((1, 2, 3, 3)), 600,
+                                       cache=cache)
+        assert report.counterexample[0] == 10
+        assert calls == []
+
+    def test_int64_guard_checked_at_every_build(self):
+        """A build whose dot products could pass the guard raises, and
+        leaves no halves behind to answer a later query from."""
+        form = QuadForm.diagonal((1, 2, 3, 10))
+        with mock.patch.object(theta, "_INT64_GUARD", 1):
+            query = RepQuery(form, 5000)
+            for m in (0, 4000, 100, 5000, 100):
+                with pytest.raises(OverflowError):
+                    query.count(m)
+        # the build at 64 passes (peak 3,120), the one at prec does not
+        with mock.patch.object(theta, "_INT64_GUARD", 10**4):
+            query = RepQuery(form, 5000)
+            assert query.count(10) == theta_coeffs(form, 10)[10]
+            with pytest.raises(OverflowError):
+                query.count(5000)
+            with pytest.raises(OverflowError):
+                query.count(4000)
+
     def test_bounds(self):
         query = RepQuery(QuadForm.diagonal((1, 2)), 10)
         with pytest.raises(ValueError):
@@ -336,13 +421,16 @@ class TestConvolveTrunc:
         for _ in range(4):
             diag = (1,) + tuple(sorted(rng.randint(1, 12) for _ in range(3)))
             form = QuadForm.diagonal(diag)
+            # a query at prec builds the halves at prec in one step
             with _spy_sparse() as spy:
                 query = RepQuery(form, prec)
+                query.count(prec)
             assert spy.call_count == 2, diag
             for m in rng.sample(range(800), 4):
                 assert query.count(m) == represent_count(form, m), (diag, m)
             with _never_sparse():
                 loop = RepQuery(form, prec)
+                loop.count(prec)
             for m in rng.sample(range(prec + 1), 50):
                 assert query.count(m) == loop.count(m), (diag, m)
 
