@@ -6,11 +6,10 @@ difference of the <1,2,3,10> genus pair."""
 import argparse
 import sys
 
-from qflab.lattices import GENUS_PAIRS
 from qflab.qseries import (LEVEL120_QUOTIENTS, cusp_orders,
                            eta_quotient_expansion, quotient_coefficient,
                            newman_check, sturm_bound)
-from qflab.theta import theta_coeffs
+from qflab.regularity import theta_difference_vs_quotients
 
 
 def main() -> int:
@@ -36,13 +35,7 @@ def main() -> int:
         ok = ok and sums_agree and cusps.is_cusp_form
 
     bound = sturm_bound(120, 2)
-    pair = GENUS_PAIRS["1,2,3,10"]
-    ta = theta_coeffs(pair.primary, bound)
-    tb = theta_coeffs(pair.mate, bound)
-    f = [eta_quotient_expansion(LEVEL120_QUOTIENTS[i], bound) for i in (1, 2, 3)]
-    combo = f[0] + f[1] + f[2].scaled(-4)
-    match = all((ta[n] - tb[n]) == 2 * combo.coeff(n)
-                for n in range(1, bound + 1))
+    match = theta_difference_vs_quotients(bound)
     print(f"theta-difference comparison through the coefficient bound "
           f"{bound}: {match}")
     ok = ok and match

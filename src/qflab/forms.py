@@ -37,7 +37,8 @@ class QuadForm:
             for j in range(i):
                 if h[i][j] != h[j][i]:
                     raise ValueError("hessian must be symmetric")
-        # Bareiss pivots a[i][i] are the leading principal minors; the last is det H
+        # Fraction-free (Bareiss) elimination: the pivot a[i][i] is the leading
+        # minor D_{i+1}, the last det H.  theta._tails walks the kept rows.
         a = [list(row) for row in h]
         for i in range(k):
             if a[i][i] <= 0:
@@ -46,7 +47,7 @@ class QuadForm:
             for r in range(i + 1, k):
                 for c in range(i + 1, k):
                     a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-        object.__setattr__(self, "_discriminant", a[-1][-1])
+        object.__setattr__(self, "_rows", a)
 
     # -- constructors -------------------------------------------------
 
@@ -91,7 +92,7 @@ class QuadForm:
 
     @property
     def discriminant(self) -> int:
-        return self._discriminant
+        return self._rows[-1][-1]
 
     @property
     def diag_q(self) -> tuple[int, ...]:

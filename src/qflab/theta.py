@@ -1,12 +1,12 @@
 """Exact lattice-point counting and exact truncated series products.
 
-One walker, `_tails`, runs the exact rational (LDL) square completion of
-the form over every coordinate but the first, so no boundary case is
-ever lost to floating point.  It yields each feasible tail with the
-integer quadratic in the first coordinate, and its three callers finish
-that coordinate in their own way: `_theta_sweep` on a numpy range,
-`represent_count` by an exact integer root test, `short_vectors` by
-listing the integer values.
+One walker, `_tails`, completes the square of the form in integers, on
+the rows of the Bareiss elimination the form keeps, so every bound is
+an integer square root and no boundary case is ever lost to rounding.
+It yields each feasible tail with the exact range of the first
+coordinate and the integer quadratic on it: `_theta_sweep` evaluates
+that range in numpy, `represent_count` tests its two ends and
+`short_vectors` lists its sign-canonical part.
 
 `_theta_unary` is the one square-series kernel: the theta of <a>, or
 its twist by a Kronecker character and s^weight, which the q-series
@@ -22,7 +22,6 @@ q-series layer and the overflow fallback of `_convolve_trunc` use them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -39,93 +38,48 @@ _PAIR_CHUNK = 1 << 17
 _PARTIAL_MAX = 4096  # RepQuery builds past this go straight to prec
 
 
-def _ldl(h):
-    """Exact LDL data for B = H/2: diagonal d_i and multipliers u[i][j]
-    (j > i) with Q(x) = sum_i d_i (x_i + sum_{j>i} u[i][j] x_j)^2."""
-    k = len(h)
-    b = [[Fraction(h[i][j], 2) for j in range(k)] for i in range(k)]
-    d = [Fraction(0)] * k
-    u = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        d[i] = b[i][i]
-        for j in range(i + 1, k):
-            u[i][j] = b[i][j] / d[i]
-        for r in range(i + 1, k):
-            for c in range(r, k):
-                b[r][c] -= d[i] * u[i][r] * u[i][c]
-    return d, u
+def _tails(form: QuadForm, bound: int):
+    """Every tail x[1:] of a vector x with Q(x) <= bound, as
+    (x, lo, hi, a1, a0): Q(t, x[1:]) = a2 t^2 + a1 t + a0, a2 = H[0][0]/2,
+    is at most bound exactly for lo <= t < hi.
 
-
-def _floor_sqrt(f: Fraction) -> int:
-    """floor(sqrt(f)) for a nonnegative rational."""
-    return isqrt(f.numerator * f.denominator) // f.denominator
-
-
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
-
-
-def _row_coefficients(h, x):
-    """Integer coefficients (a2, a1, a0) of t -> Q(t, x_1, ..) in the
-    first coordinate, given the fixed tail x[1:]."""
-    k = len(h)
-    a2 = h[0][0] // 2
-    a1 = sum(h[0][j] * x[j] for j in range(1, k))
-    a0 = 0
-    for i in range(1, k):
-        if x[i] == 0:
-            continue
-        a0 += h[i][i] * x[i] * x[i]
-        for j in range(1, i):
-            a0 += 2 * h[i][j] * x[i] * x[j]
-    return a2, a1, a0 // 2
-
-
-def _tails(h, bound: int):
-    """Every tail x[1:] with some real x[0] giving Q(x) <= bound, as
-    (x, a2, a1, a0) with Q(t, x[1:]) = a2 t^2 + a1 t + a0.
-
-    x is one list, reused between tails (x[0] stays 0).  Coordinates
-    x[k-1], .., x[1] are taken in turn, each over the exact range its
-    remaining rational budget allows.
+    With the Bareiss rows m the form keeps, D_i = m[i-1][i-1] (D_0 = 1)
+    and l_i(x) = sum_{j>=i} m[i][j] x_j, 2 Q(x) = sum_i l_i^2 / (D_i D_{i+1}).
+    x[k-1], .., x[0] are taken in turn under the integer budget
+    e = D_{i+1} (2 bound - sum_{j>i} l_j^2 / (D_j D_{j+1})): x[i] takes
+    exactly the t with l_i^2 <= D_i e and leaves the exact quotient
+    (D_i e - l_i^2) / D_{i+1} to x[i-1].  x is one list, reused between
+    tails (x[0] stays 0).
     """
-    k = len(h)
-    d, u = _ldl(h)
+    m = form._rows
+    k = len(m)
+    h00 = m[0][0]
     x = [0] * k
 
-    def descend(level: int, budget: Fraction):
-        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
-                     Fraction(0))
-        radius = _floor_sqrt(budget / d[level])
-        lo = _floor(-center) - radius - 1
-        hi = -_floor(center) + radius + 1
-        for t in range(lo, hi + 1):
-            shift = t + center
-            rem = budget - d[level] * shift * shift
-            if rem >= 0:
-                x[level] = t
-                # a leaf level of its own would cost a generator per tail
-                if level == 1:
-                    yield (x, *_row_coefficients(h, x))
-                else:
-                    yield from descend(level - 1, rem)
-        x[level] = 0
+    def leaf(e: int):
+        a1 = sum(m[0][j] * x[j] for j in range(1, k))
+        r = isqrt(e)
+        # a0 in Python ints: e reaches 2 bound H[0][0], past int64
+        return (x, -((r + a1) // h00), (r - a1) // h00 + 1, a1,
+                bound - (e - a1 * a1) // (2 * h00))
 
-    if k == 1:
-        yield (x, *_row_coefficients(h, x))
-    else:
-        yield from descend(k - 1, Fraction(bound))
+    def descend(i: int, e: int):
+        row, piv, prev = m[i], m[i][i], m[i - 1][i - 1]
+        n = sum(row[j] * x[j] for j in range(i + 1, k))
+        r = isqrt(prev * e)
+        for t in range(-((r + n) // piv), (r - n) // piv + 1):
+            x[i] = t
+            ell = piv * t + n
+            rest = (prev * e - ell * ell) // piv
+            # a leaf level of its own would cost a generator per tail
+            if i == 1:
+                yield leaf(rest)
+            else:
+                yield from descend(i - 1, rest)
+        x[i] = 0
 
-
-def _t_range(a2: int, a1: int, a0: int, bound: int) -> tuple[int, int]:
-    """Half-open integer range [lo, stop) holding every t with
-    a2 t^2 + a1 t + a0 <= bound, widened by one on each side so that
-    integer rounding never drops one."""
-    disc = a1 * a1 - 4 * a2 * (a0 - bound)
-    if disc < 0:
-        return 0, 0
-    s = isqrt(disc)
-    return (-a1 - s) // (2 * a2) - 1, (-a1 + s) // (2 * a2) + 2
+    top = 2 * bound * m[-1][-1]
+    yield from descend(k - 1, top) if k > 1 else [leaf(top)]
 
 
 def _theta_unary(a: int, prec: int, char: int = 1,
@@ -148,20 +102,20 @@ def _theta_unary(a: int, prec: int, char: int = 1,
     return out
 
 
-def _theta_sweep(h, prec: int) -> np.ndarray:
+def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
     """Counts of Q(v) = n for all n <= prec, one enumeration sweep."""
-    if len(h) == 1:
-        return _theta_unary(h[0][0] // 2, prec)
+    a2 = form.hessian[0][0] // 2
+    if form.rank == 1:
+        return _theta_unary(a2, prec)
     counts = np.zeros(prec + 1, dtype=np.int64)
     pending: list[np.ndarray] = []
     pending_size = 0
-    for _, a2, a1, a0 in _tails(h, prec):
-        ts = np.arange(*_t_range(a2, a1, a0, prec), dtype=np.int64)
-        vals = (a2 * ts + a1) * ts + a0
-        pending.append(vals[vals <= prec])
+    for _, lo, hi, a1, a0 in _tails(form, prec):
+        ts = np.arange(lo, hi, dtype=np.int64)
+        pending.append((a2 * ts + a1) * ts + a0)
         # rows kept alive into the next tail fragment the heap: peak RSS
         # of repeated sweeps grew by about 9 MB
-        del ts, vals
+        del ts
         pending_size += pending[-1].size
         if pending_size >= _FLUSH:
             counts += np.bincount(np.concatenate(pending), minlength=prec + 1)
@@ -289,7 +243,7 @@ def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
     orthogonal block, blocks combined by exact convolution."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return _product([_theta_sweep(sub.hessian, n_max)
+    return _product([_theta_sweep(sub, n_max)
                      for _, sub in form.orthogonal_blocks()], n_max).tolist()
 
 
@@ -297,31 +251,24 @@ def represent_count(form: QuadForm, n: int) -> int:
     """Exact number of integer vectors with Q(v) = n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
+    a2 = form.hessian[0][0] // 2
     total = 0
-    for _, a2, a1, a0 in _tails(form.hessian, n):
-        disc = a1 * a1 - 4 * a2 * (a0 - n)
-        if disc < 0:
-            continue
-        s = isqrt(disc)
-        if s * s == disc:
-            total += sum(1 for root in {-a1 - s, -a1 + s}
-                         if root % (2 * a2) == 0)
+    for _, lo, hi, a1, a0 in _tails(form, n):
+        # Q <= n exactly on [lo, hi), so Q = n can only hold at its ends
+        total += sum(1 for t in {lo, hi - 1} if (a2 * t + a1) * t + a0 == n)
     return total
 
 
 def short_vectors(form: QuadForm, cap: int) -> dict[int, list[tuple[int, ...]]]:
     """Sign-canonical vectors with 0 < Q(v) <= cap, grouped by value: the
     first nonzero coordinate of each listed vector is positive."""
+    a2 = form.hessian[0][0] // 2
     out: dict[int, list[tuple[int, ...]]] = {}
-    for x, a2, a1, a0 in _tails(form.hessian, cap):
+    for x, lo, hi, a1, a0 in _tails(form, cap):
         tail = tuple(x[1:])
         lead = next((c for c in tail if c), 0)
-        for t in range(*_t_range(a2, a1, a0, cap)):
-            q = (a2 * t + a1) * t + a0
-            if 0 < q <= cap and (t > 0 or (t == 0 and lead > 0)):
-                out.setdefault(q, []).append((t, *tail))
+        for t in range(max(lo, 0 if lead > 0 else 1), hi):
+            out.setdefault((a2 * t + a1) * t + a0, []).append((t, *tail))
     for vecs in out.values():
         vecs.sort()
     return out
@@ -359,8 +306,8 @@ class RepQuery:
     def _build(self, n: int) -> None:
         # free the old halves first, so old and new never coexist in memory
         self._a, self._b, self._built = None, None, -1
-        theta = ((lambda block, prec: _theta_sweep(block.hessian, prec))
-                 if n < self.prec or self._cache is None else self._cache)
+        theta = (_theta_sweep if n < self.prec or self._cache is None
+                 else self._cache)
         a, b = (_product([np.asarray(theta(blk, n), dtype=np.int64)
                           for blk in half], n)
                 for half in self._halves)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 from unittest import mock
@@ -15,7 +16,7 @@ from qflab.forms import QuadForm
 from qflab.lattices import all_bundled_forms
 from qflab.regularity import is_strongly_s_regular
 from qflab.theta import (RepQuery, _convolve_trunc, _inverse_trunc,
-                         _mul_trunc, _theta_unary, represent_count,
+                         _mul_trunc, _tails, _theta_unary, represent_count,
                          short_vectors, theta_coeffs)
 
 
@@ -188,6 +189,180 @@ class TestWalkerAgainstBox:
             assert theta_coeffs(form, top) == counts, form.hessian
             assert [represent_count(form, n)
                     for n in range(top + 1)] == counts, form.hessian
+
+
+def fraction_tails(h, bound: int):
+    """Reference walker: an exact rational LDL square completion whose
+    ranges are widened by one, the extra points filtered out again.
+    Yields (x, a2, a1, a0) with Q(t, x[1:]) = a2 t^2 + a1 t + a0 for
+    every tail with some real x[0] giving Q(x) <= bound."""
+    k = len(h)
+    b = [[Fraction(h[i][j], 2) for j in range(k)] for i in range(k)]
+    d = [Fraction(0)] * k
+    u = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        d[i] = b[i][i]
+        for j in range(i + 1, k):
+            u[i][j] = b[i][j] / d[i]
+        for r in range(i + 1, k):
+            for c in range(r, k):
+                b[r][c] -= d[i] * u[i][r] * u[i][c]
+    x = [0] * k
+
+    def row_coefficients():
+        a1 = sum(h[0][j] * x[j] for j in range(1, k))
+        a0 = sum(h[i][j] * x[i] * x[j]
+                 for i in range(1, k) for j in range(1, k))
+        return (x, h[0][0] // 2, a1, a0 // 2)
+
+    def descend(level: int, budget: Fraction):
+        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
+                     Fraction(0))
+        ratio = budget / d[level]
+        radius = isqrt(ratio.numerator * ratio.denominator) // ratio.denominator
+        lo = (-center).numerator // (-center).denominator - radius - 1
+        hi = -(center.numerator // center.denominator) + radius + 1
+        for t in range(lo, hi + 1):
+            shift = t + center
+            rem = budget - d[level] * shift * shift
+            if rem >= 0:
+                x[level] = t
+                if level == 1:
+                    yield row_coefficients()
+                else:
+                    yield from descend(level - 1, rem)
+        x[level] = 0
+
+    if k == 1:
+        yield row_coefficients()
+    else:
+        yield from descend(k - 1, Fraction(bound))
+
+
+def fraction_t_range(a2, a1, a0, bound):
+    """Every t with a2 t^2 + a1 t + a0 <= bound, widened by one each side."""
+    disc = a1 * a1 - 4 * a2 * (a0 - bound)
+    if disc < 0:
+        return range(0)
+    s = isqrt(disc)
+    return range((-a1 - s) // (2 * a2) - 1, (-a1 + s) // (2 * a2) + 2)
+
+
+def fraction_theta(form: QuadForm, prec: int) -> list[int]:
+    counts = [0] * (prec + 1)
+    for _, a2, a1, a0 in fraction_tails(form.hessian, prec):
+        for t in fraction_t_range(a2, a1, a0, prec):
+            q = (a2 * t + a1) * t + a0
+            if q <= prec:
+                counts[q] += 1
+    return counts
+
+
+def fraction_count(form: QuadForm, n: int) -> int:
+    if n == 0:
+        return 1
+    total = 0
+    for _, a2, a1, a0 in fraction_tails(form.hessian, n):
+        disc = a1 * a1 - 4 * a2 * (a0 - n)
+        s = isqrt(max(disc, 0))
+        if s * s == disc:
+            total += sum(1 for root in {-a1 - s, -a1 + s}
+                         if root % (2 * a2) == 0)
+    return total
+
+
+def fraction_short_vectors(form: QuadForm, cap: int):
+    out: dict[int, list] = {}
+    for x, a2, a1, a0 in fraction_tails(form.hessian, cap):
+        tail = tuple(x[1:])
+        lead = next((c for c in tail if c), 0)
+        for t in fraction_t_range(a2, a1, a0, cap):
+            q = (a2 * t + a1) * t + a0
+            if 0 < q <= cap and (t > 0 or (t == 0 and lead > 0)):
+                out.setdefault(q, []).append((t, *tail))
+    for vecs in out.values():
+        vecs.sort()
+    return out
+
+
+def random_definite(rng: random.Random, k: int) -> QuadForm:
+    """A diagonally dominant form with odd and even cross terms, then a
+    random unimodular conjugate of it."""
+    h = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i):
+            h[i][j] = h[j][i] = rng.randint(-5, 5)
+    for i in range(k):
+        h[i][i] = 2 * (sum(abs(c) for c in h[i]) // 2 + rng.randint(1, 6))
+    form = QuadForm(tuple(map(tuple, h)))
+    return form if k == 1 else conjugated(form, random_unimodular(rng, k))
+
+
+def skewed_conjugate(rng: random.Random, form: QuadForm) -> QuadForm:
+    """U^T H U for a unit upper-triangular U, entries of the result at
+    most 1000: the flag of the basis is kept, only its skew is random."""
+    k = form.rank
+    while True:
+        u = [[1 if r == c else (rng.randint(-9, 9) if r < c else 0)
+              for c in range(k)] for r in range(k)]
+        other = conjugated(form, u)
+        if max(abs(x) for row in other.hessian for x in row) <= 1000:
+            return other
+
+
+class TestWalkerAgainstFractionReference:
+    """The integer walker and its three leaf loops against the rational
+    walker they replaced, at bounds past what the box oracle reaches."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_definite_forms(self, seed):
+        rng = random.Random(8100 + seed)
+        for k, prec in ((1, 400), (2, 400), (3, 150), (4, 50)):
+            form = random_definite(rng, k)
+            self._check(rng, form, prec, prec // 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_skewed_conjugates(self, seed):
+        rng = random.Random(8200 + seed)
+        bases = [*NONDIAGONAL_BASES, *all_bundled_forms().values()]
+        for base in rng.sample(bases, 3):
+            prec = 400 if base.discriminant >= 960 or base.rank < 4 else 150
+            self._check(rng, skewed_conjugate(rng, base), prec, 60)
+
+    @staticmethod
+    def _check(rng, form, prec, cap):
+        assert theta_coeffs(form, prec) == fraction_theta(form, prec), \
+            form.hessian
+        for n in (0, 1, prec, *rng.sample(range(prec + 1), 4)):
+            assert represent_count(form, n) == fraction_count(form, n), \
+                (form.hessian, n)
+        assert short_vectors(form, cap) == fraction_short_vectors(form, cap), \
+            form.hessian
+
+
+class TestTails:
+    @given(st.integers(1, 4), st.integers(0, 2**32), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_ranges_are_exact(self, k, seed, bound):
+        """Each t in [lo, hi) gives Q <= bound with the yielded quadratic;
+        lo - 1 and hi give Q > bound."""
+        form = random_definite(random.Random(seed), k)
+        a2 = form.hessian[0][0] // 2
+        for x, lo, hi, a1, a0 in _tails(form, bound):
+            tail = x[1:]
+            for t in range(lo, hi):
+                q = form.evaluate((t, *tail))
+                assert q <= bound and q == (a2 * t + a1) * t + a0
+            assert form.evaluate((lo - 1, *tail)) > bound
+            assert form.evaluate((hi, *tail)) > bound
+
+    def test_leaf_constant_beyond_int64(self):
+        """The leaf budget reaches 2 bound H[0][0] = 4e19 here, past int64;
+        only the quadratic itself is evaluated in numpy."""
+        form = QuadForm(((2 * 10**17, 1), (1, 2 * 10**17)))
+        assert theta_coeffs(form, 100) == [1] + [0] * 100
+        assert represent_count(form, 100) == 0
+        assert short_vectors(form, 100) == {}
 
 
 class TestVectors:
