@@ -44,9 +44,11 @@ def kronecker(a: int, n: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p^e dividing n (n nonzero)."""
+    """Largest e with p^e dividing n (n nonzero, p >= 2)."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     e = 0
     n = abs(n)
     while n % p == 0:

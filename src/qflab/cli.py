@@ -30,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", choices=("text", "json", "csv"),
+    def add_out(p, choices=("text", "json", "csv")):
+        p.add_argument("--out", choices=choices,
                        default="text", help="output format")
 
     p = sub.add_parser("theta", help="theta series coefficients")
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='exponent list "delta:r,delta:r,..."')
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--prec", type=int, default=48)
-    add_out(p)
+    add_out(p, ("text", "json"))
 
     p = sub.add_parser("sturm", help="coefficient bound for a cusp form space")
     p.add_argument("--level", type=int, required=True)

@@ -1,14 +1,15 @@
-"""Exact q-series arithmetic and Dedekind eta quotients.
+"""Exact q-series and Dedekind eta quotients.
 
-Series carry a grading denominator D: index j holds the coefficient of
-q^(j/D).  Eta factors live at D = 24 (for the q^(1/24) prefactor); theta
-series and integral-weight quotients at D = 1.  All coefficients are
-exact Python integers.
+A QSeries records coefficients with a grading denominator D: index j
+holds the coefficient of q^(j/D).  Eta factors live at D = 24 (for the
+q^(1/24) prefactor); theta series and integral-weight quotients at
+D = 1.  All coefficients are exact Python integers.
 
-Expansions come from the Euler product through `_mul_trunc`.  The
-closed forms they are checked against (the classical unary identities
-and the level-120 quotient coefficients) are `_product`s of theta.py's
-twisted unary thetas `_theta_unary`, so the two sides share no kernel.
+Every eta product is expanded by one kernel, `_eta_product`, in place
+over the sparse pentagonal terms of Euler's product.  The closed forms
+it is checked against (the classical unary identities and the
+level-120 quotient coefficients) are `_product`s of theta.py's twisted
+unary thetas `_theta_unary`, so the two sides share no kernel.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from .arith import factorize, kronecker
 from .forms import QuadForm
-from .theta import (_inverse_trunc, _mul_trunc, _product, _theta_unary,
-                     theta_coeffs)
+from .theta import _product, _theta_unary, theta_coeffs
 
 
 @dataclass(frozen=True)
@@ -55,83 +55,6 @@ class QSeries:
     def nonzero(self):
         return [(self.low + j, c) for j, c in enumerate(self.coeffs) if c]
 
-    def regraded(self, new_grading: int) -> "QSeries":
-        if new_grading % self.grading:
-            raise ValueError("can only refine the grading")
-        f = new_grading // self.grading
-        if f == 1:
-            return self
-        coeffs = [0] * ((len(self.coeffs) - 1) * f + 1)
-        for j, c in enumerate(self.coeffs):
-            coeffs[j * f] = c
-        return QSeries(new_grading, self.low * f, tuple(coeffs))
-
-    def to_integral_grading(self) -> "QSeries":
-        """Convert to D = 1 if every nonzero index is a multiple of D."""
-        d = self.grading
-        if d == 1:
-            return self
-        if any(idx % d for idx, _ in self.nonzero()):
-            raise ValueError("series has genuinely fractional exponents")
-        lo = -(-self.low // d)
-        hi = self.prec // d
-        return QSeries(1, lo, tuple(self.coeff(i * d) for i in range(lo, hi + 1)))
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        d = self.grading * other.grading // gcd(self.grading, other.grading)
-        a, b = self.regraded(d), other.regraded(d)
-        low = min(a.low, b.low)
-        prec = min(a.prec, b.prec)
-        coeffs = [0] * (prec - low + 1)
-        for src in (a, b):
-            for idx, c in src.nonzero():
-                if idx <= prec:
-                    coeffs[idx - low] += c
-        return QSeries(d, low, tuple(coeffs))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.grading, self.low, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def scaled(self, factor: int) -> "QSeries":
-        return QSeries(self.grading, self.low,
-                       tuple(factor * c for c in self.coeffs))
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        d = self.grading * other.grading // gcd(self.grading, other.grading)
-        a, b = self.regraded(d), other.regraded(d)
-        n = min(a.prec - a.low, b.prec - b.low)
-        return QSeries(d, a.low + b.low, tuple(_mul_trunc(a.coeffs, b.coeffs, n)))
-
-    def inverse(self, prec: int) -> "QSeries":
-        """Reciprocal series to the given index precision; the lowest
-        coefficient must be a unit.  Index prec of the reciprocal needs
-        the coefficients through prec + 2 * (leading index), so a larger
-        prec than the known ones allow is refused."""
-        nonzero = self.nonzero()
-        if not nonzero:
-            raise ValueError("a zero series has no reciprocal")
-        lead_idx = nonzero[0][0]
-        low = -lead_idx
-        if prec < low:
-            raise ValueError("requested precision below the leading term")
-        if prec > self.prec - 2 * lead_idx:
-            raise ValueError(f"precision {prec} needs coefficients past "
-                             f"the known index {self.prec}")
-        known = self.coeffs[lead_idx - self.low:]
-        return QSeries(self.grading, low, tuple(_inverse_trunc(known, prec - low)))
-
-    def truncated(self, prec: int) -> "QSeries":
-        """Drop knowledge above the given index."""
-        if prec > self.prec:
-            raise ValueError("cannot extend precision by truncation")
-        if prec < self.low:
-            return QSeries(self.grading, prec, (0,))
-        return QSeries(self.grading, self.low,
-                       self.coeffs[:prec - self.low + 1])
-
     def to_json(self) -> str:
         if self.low < 0:
             raise ValueError("cannot serialize a series with negative exponents")
@@ -139,50 +62,60 @@ class QSeries:
         return json.dumps({"D": self.grading, "prec": self.prec, "coeffs": coeffs})
 
 
-def series_one(grading: int = 1, prec: int = 0) -> QSeries:
-    return QSeries(grading, 0, tuple([1] + [0] * prec))
+def _eta_product(exponents, n: int) -> list[int]:
+    """prod over (delta, r) of prod_{m>=1} (1 - q^(delta m))^r through
+    q^n, in exact Python ints; n < 0 (a precision below the leading
+    exponent of the caller's quotient) is refused.
+
+    By Euler's pentagonal number theorem prod (1 - q^(delta m)) is
+    1 + sum_k (-1)^k (q^(delta k(3k-1)/2) + q^(delta k(3k+1)/2)), about
+    2 sqrt(2n / 3 delta) terms through q^n.  Each factor costs |r|
+    in-place passes over them: a multiplying pass runs j downward, so
+    every out[j - g] it reads is still old, and a dividing pass runs j
+    upward, so every out[j - g] it reads is already divided.
+    """
+    if n < 0:
+        raise ValueError("precision below the leading exponent")
+    out = [1] + [0] * n
+    for delta, r in exponents:
+        plus, minus = [], []  # the g of each sign, ascending
+        k = 1
+        while delta * k * (3 * k - 1) // 2 <= n:
+            (minus if k % 2 else plus).extend(
+                g for g in (delta * k * (3 * k - 1) // 2,
+                            delta * k * (3 * k + 1) // 2) if g <= n)
+            k += 1
+        order = range(n, 0, -1) if r > 0 else range(1, n + 1)
+        for _ in range(abs(r)):
+            for j in order:
+                acc = 0
+                for g in plus:
+                    if g > j:
+                        break
+                    acc += out[j - g]
+                for g in minus:
+                    if g > j:
+                        break
+                    acc -= out[j - g]
+                out[j] += acc if r > 0 else -acc
+    return out
 
 
-def _euler_product(n_terms: int) -> list[int]:
-    """Coefficients of prod_{n>=1} (1 - x^n) to x^n_terms (pentagonal)."""
-    coeffs = [0] * (n_terms + 1)
-    coeffs[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n_terms:
-            break
-        sign = -1 if k % 2 else 1
-        coeffs[g1] += sign
-        if g2 <= n_terms:
-            coeffs[g2] += sign
-        k += 1
-    return coeffs
+def _series24(exponents, top: int) -> QSeries:
+    """prod eta(delta z)^r as a D = 24 series from its leading index
+    a = sum delta r through index top."""
+    a = sum(delta * r for delta, r in exponents)
+    coeffs = [0] * (top - a + 1)
+    coeffs[::24] = _eta_product(exponents, (top - a) // 24)
+    return QSeries(24, a, tuple(coeffs))
 
 
 def eta_expansion(scale: int, power: int, prec: int) -> QSeries:
     """eta(scale*z)^power as a D = 24 series through index `prec`
-    (i.e. through q^(prec/24)).  Negative powers go through exact series
-    inversion of the Euler product."""
+    (i.e. through q^(prec/24)); a prec below scale * power is refused."""
     if scale < 1:
         raise ValueError("scale must be positive")
-    if power == 0:
-        return series_one(24, prec)
-    low = scale * power
-    n_terms = max(0, (prec - low) // (24 * scale))
-    base = _euler_product(n_terms)
-    acc = [1]
-    for _ in range(abs(power)):
-        acc = _mul_trunc(acc, base, n_terms)
-    if power < 0:
-        acc = _inverse_trunc(acc, n_terms)
-    coeffs = [0] * (prec - low + 1)
-    for j, c in enumerate(acc):
-        pos = 24 * scale * j
-        if pos <= prec - low:
-            coeffs[pos] = c
-    return QSeries(24, low, tuple(coeffs))
+    return _series24(((scale, power),), prec)
 
 
 @dataclass(frozen=True)
@@ -199,6 +132,8 @@ class EtaQuotient:
         norm = []
         for delta, r in self.exponents:
             delta, r = int(delta), int(r)
+            if delta < 1:
+                raise ValueError(f"delta must be positive, got {delta}")
             if self.level % delta:
                 raise ValueError(f"{delta} does not divide level {self.level}")
             if r == 0 or delta in seen:
@@ -230,21 +165,15 @@ class EtaQuotient:
 
 
 def eta_quotient_expansion(eq: EtaQuotient, prec: int) -> QSeries:
-    """Expansion through q^prec; D = 1 when the grading is integral,
-    else the raw D = 24 series."""
+    """Expansion through q^prec: D = 1 when 24 divides the leading index
+    a = sum delta r, else the D = 24 series.  A prec below the leading
+    exponent a / 24 raises ValueError."""
     if prec <= 0:
         raise ValueError("precision must be positive")
-    # negative-power factors lower the truncation point of a product, so
-    # expand every factor with enough headroom first
-    margin = sum(-delta * r for delta, r in eq.exponents if r < 0)
-    prec24 = 24 * prec + margin
-    acc = series_one(24, prec24)
-    for delta, r in eq.exponents:
-        acc = acc * eta_expansion(delta, r, prec24)
-    acc = acc.truncated(24 * prec)
-    if sum(delta * r for delta, r in eq.exponents) % 24 == 0:
-        return acc.to_integral_grading()
-    return acc
+    a = sum(delta * r for delta, r in eq.exponents)
+    if a % 24:
+        return _series24(eq.exponents, 24 * prec)
+    return QSeries(1, a // 24, tuple(_eta_product(eq.exponents, prec - a // 24)))
 
 
 @dataclass(frozen=True)
@@ -351,13 +280,12 @@ def unary_theta_identities(prec: int) -> list[IdentityCheck]:
     if prec < 24:
         raise ValueError("precision must be at least 24")
     target = 24 * prec
-    prec24 = target + 72
     checks = []
 
-    def compare(name, lhs: QSeries, rhs: QSeries):
-        top = min(lhs.prec, rhs.prec, target)
-        for idx in range(top + 1):
-            le, ri = lhs.coeff(idx), rhs.coeff(idx)
+    def compare(name, exponents, rhs):
+        lhs = _series24(exponents, target)
+        for idx, ri in enumerate(rhs.tolist()):
+            le = lhs.coeff(idx)
             if le != ri:
                 checks.append(IdentityCheck(name, False, (idx, ri, le)))
                 return
@@ -365,22 +293,16 @@ def unary_theta_identities(prec: int) -> list[IdentityCheck]:
 
     def squares(ratio, char, weight=0):
         """(1/2) sum_{n in Z} (char|n) n^weight q^(ratio n^2 / 24)."""
-        half = _theta_unary(ratio, prec24, char, weight) // 2
-        return QSeries(24, 0, tuple(half.tolist()))
+        return _theta_unary(ratio, target, char, weight) // 2
 
-    eta1 = eta_expansion(1, 1, prec24)
-    compare("eta(z) = (1/2) sum (12|n) q^(n^2/24)", eta1, squares(1, 12))
-
-    lhs = eta_expansion(2, 2, prec24) * eta_expansion(1, -1, prec24)
+    compare("eta(z) = (1/2) sum (12|n) q^(n^2/24)",
+            ((1, 1),), squares(1, 12))
     compare("eta(2z)^2/eta(z) = (1/2) sum (4|n) q^(n^2/8)",
-            lhs, squares(3, 4))
-
+            ((1, -1), (2, 2)), squares(3, 4))
     compare("eta(z)^3 = (1/2) sum (-4|n) n q^(n^2/8)",
-            eta_expansion(1, 3, prec24), squares(3, -4, 1))
-
-    lhs = eta_expansion(3, 3, prec24) * eta_expansion(1, -1, prec24)
+            ((1, 3),), squares(3, -4, 1))
     compare("eta(3z)^3/eta(z) = sum_{3 !| n} (sum_{d|n} (d|3)) q^(n/3)",
-            lhs, QSeries(24, 0, tuple(_divisor_series(8, prec24).tolist())))
+            ((1, -1), (3, 3)), _divisor_series(8, target))
     return checks
 
 

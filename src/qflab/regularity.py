@@ -293,9 +293,9 @@ def theta_difference_vs_quotients(prec: int = 48) -> bool:
     f1 = eta_quotient_expansion(LEVEL120_QUOTIENTS[1], prec)
     f2 = eta_quotient_expansion(LEVEL120_QUOTIENTS[2], prec)
     f3 = eta_quotient_expansion(LEVEL120_QUOTIENTS[3], prec)
-    rhs = f1 + f2 + f3.scaled(-4)
     for n in range(1, prec + 1):
         diff = ta[n] - tb[n]
-        if diff % 2 or diff // 2 != rhs.coeff(n):
+        rhs = f1.coeff(n) + f2.coeff(n) - 4 * f3.coeff(n)
+        if diff % 2 or diff // 2 != rhs:
             return False
     return True

@@ -15,9 +15,9 @@ lattice sums use.  `_product` is the one way to multiply theta arrays:
 <1,a> and those lattice sums fold their factors with it, through the
 int64 `_convolve_trunc`.
 
-`_mul_trunc` and `_inverse_trunc` are the one exact Python-int product
-and inverse of truncated series, looping over nonzero entries only; the
-q-series layer and the overflow fallback of `_convolve_trunc` use them.
+`_mul_trunc` is the one exact Python-int truncated product, looping
+over nonzero entries only; the overflow fallback of `_convolve_trunc`
+uses it.
 """
 
 from __future__ import annotations
@@ -206,24 +206,6 @@ def _mul_trunc(a, b, n: int) -> list[int]:
                 break
             out[i + j] += av * bv
     return out
-
-
-def _inverse_trunc(a, n: int) -> list[int]:
-    """Exact reciprocal through x^n of a series with a_0 = +-1, from
-    a_1..a_n (the caller must know them), looping over nonzero a_t."""
-    if a[0] not in (1, -1):
-        raise ValueError("leading coefficient must be +-1")
-    items = [(t, v) for t, v in enumerate(a[1:n + 1], 1) if v]
-    inv = [0] * (n + 1)
-    inv[0] = a[0]
-    for j in range(1, n + 1):
-        acc = 0
-        for t, v in items:
-            if t > j:
-                break
-            acc += v * inv[j - t]
-        inv[j] = -a[0] * acc
-    return inv
 
 
 def _product(arrays, prec: int) -> np.ndarray:

@@ -75,11 +75,15 @@ def _unit_class(f: Fraction, p: int) -> int:
     return kronecker(num * den, p)
 
 
+def _require_odd_prime(p: int) -> None:
+    if p < 3 or factorize(p).factors != ((p, 1),):
+        raise ValueError(f"{p} is not an odd prime")
+
+
 def jordan_symbol_odd(form: QuadForm, p: int) -> JordanSymbolOdd:
     """Diagonalize Q over Z_p by symmetric elimination, pivoting on entries
     of minimal p-valuation."""
-    if p == 2:
-        raise ValueError("odd primes only")
+    _require_odd_prime(p)
     k = form.rank
     g = [[Fraction(form.hessian[i][j], 2) for j in range(k)] for i in range(k)]
     active = list(range(k))
@@ -130,8 +134,7 @@ def gamma_sublattices(form: QuadForm, p: int) -> tuple[QuadForm, QuadForm]:
     """
     if form.rank != 3:
         raise ValueError("rank 3 required")
-    if p == 2:
-        raise ValueError("odd primes only")
+    _require_odd_prime(p)
     if form.discriminant % p:
         raise ValueError(f"{p} does not divide the discriminant")
     symbol = jordan_symbol_odd(form, p)

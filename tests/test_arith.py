@@ -112,6 +112,9 @@ class TestFactorize:
         assert valuation(7, 2) == 0
         with pytest.raises(ValueError):
             valuation(0, 3)
+        for p in (1, 0, -2):  # p = 1 divides every n: the loop never ends
+            with pytest.raises(ValueError):
+                valuation(12, p)
 
 
 class TestSquareSplit:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,27 @@ class TestCli:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("form, prime", [
+        ("1,1,3", "4"),
+        ("1,1,9", "9"),
+        ('{"hessian": [[2,1,0],[1,6,0],[0,0,18]]}', "9"),
+    ])
+    def test_gamma_needs_an_odd_prime(self, capsys, form, prime):
+        code, out, err = run_cli(capsys, "gamma", "--form", form, "-p", prime)
+        assert code == 2 and out == ""
+        assert err == f"error: {prime} is not an odd prime\n"
+
+    def test_gamma_prime_one_fails_instead_of_hanging(self):
+        # a subprocess, so that a hang fails this test by its timeout
+        # instead of stopping the whole suite
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "qflab.cli", "gamma", "--form", "1,1,3",
+             "-p", "1"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == "error: 1 is not an odd prime\n"
+
     def test_eta_json(self, capsys):
         code, out, _ = run_cli(capsys, "eta", "--quotient", "2:2,15:3,1:-1",
                                "--level", "120", "--prec", "20",
@@ -90,6 +115,12 @@ class TestCli:
         assert data["weight"] == "2"
         assert data["isCuspForm"] is True
         assert data["series"]["coeffs"][2] == 1
+
+    def test_eta_has_no_csv(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eta", "--quotient", "1:1", "--level", "1", "--out", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_sturm(self, capsys):
         code, out, _ = run_cli(capsys, "sturm", "--level", "120",

@@ -33,6 +33,8 @@ def test_quotient_report_script():
     done = run_script("scripts/quotient_report.py", "--prec", "60")
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+    agree = [line for line in done.stdout.splitlines() if "agree" in line]
+    assert agree == ["  closed lattice sums agree to 60: True"] * 3
 
 
 def test_reproduce_classification_script():

@@ -1,88 +1,117 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qflab import qseries
 from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.qseries import (EtaQuotient, LEVEL120_QUOTIENTS, QSeries,
-                           cusp_orders, divisor_character_sum, eta_expansion,
-                           eta_quotient_expansion, quotient_coefficient,
-                           newman_check, series_one, sturm_bound,
+                           _eta_product, cusp_orders, divisor_character_sum,
+                           eta_expansion, eta_quotient_expansion,
+                           quotient_coefficient, newman_check, sturm_bound,
                            theta_qseries, unary_theta_identities)
+from qflab.theta import _mul_trunc
 
-series_strategy = st.builds(
-    QSeries,
-    st.just(1),
-    st.integers(0, 3),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
-)
+
+# -- a frozen copy of the earlier expansion path: dense eta powers at
+# D = 24 from the Euler product, a series inverse for negative powers,
+# and pairwise truncated products with headroom for the negative powers
+
+def _frozen_euler_product(n_terms):
+    coeffs = [0] * (n_terms + 1)
+    coeffs[0] = 1
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_terms:
+        sign = -1 if k % 2 else 1
+        coeffs[k * (3 * k - 1) // 2] += sign
+        if k * (3 * k + 1) // 2 <= n_terms:
+            coeffs[k * (3 * k + 1) // 2] += sign
+        k += 1
+    return coeffs
+
+
+def _frozen_inverse(a, n):
+    items = [(t, v) for t, v in enumerate(a[1:n + 1], 1) if v]
+    inv = [0] * (n + 1)
+    inv[0] = a[0]
+    for j in range(1, n + 1):
+        acc = 0
+        for t, v in items:
+            if t > j:
+                break
+            acc += v * inv[j - t]
+        inv[j] = -a[0] * acc
+    return inv
+
+
+def _frozen_eta_expansion(scale, power, prec):
+    if scale < 1:
+        raise ValueError("scale must be positive")
+    if power == 0:
+        return QSeries(24, 0, tuple([1] + [0] * prec))
+    low = scale * power
+    n_terms = max(0, (prec - low) // (24 * scale))
+    base = _frozen_euler_product(n_terms)
+    acc = [1]
+    for _ in range(abs(power)):
+        acc = _mul_trunc(acc, base, n_terms)
+    if power < 0:
+        acc = _frozen_inverse(acc, n_terms)
+    coeffs = [0] * (prec - low + 1)
+    for j, c in enumerate(acc):
+        if 24 * scale * j <= prec - low:
+            coeffs[24 * scale * j] = c
+    return QSeries(24, low, tuple(coeffs))
+
+
+def _frozen_quotient_expansion(eq, prec):
+    """The earlier path, for a prec at or above the leading exponent."""
+    prec24 = 24 * prec + sum(-delta * r for delta, r in eq.exponents if r < 0)
+    low, coeffs = 0, [1] + [0] * prec24
+    for delta, r in eq.exponents:
+        factor = _frozen_eta_expansion(delta, r, prec24)
+        n = min(len(coeffs) - 1, len(factor.coeffs) - 1)
+        coeffs = _mul_trunc(coeffs, factor.coeffs, n)
+        low += factor.low
+    coeffs = coeffs[:24 * prec - low + 1]
+    if low % 24:
+        return QSeries(24, low, tuple(coeffs))
+    assert all(c == 0 for j, c in enumerate(coeffs) if j % 24)
+    return QSeries(1, low // 24, tuple(coeffs[::24]))
+
+
+def _factorwise(exponents, n):
+    """Independent reference: multiply or divide by one (1 - q^(delta m))
+    at a time."""
+    out = [1] + [0] * n
+    for delta, r in exponents:
+        for step in range(delta, n + 1, delta):
+            for _ in range(abs(r)):
+                if r > 0:
+                    for j in range(n, step - 1, -1):
+                        out[j] -= out[j - step]
+                else:
+                    for j in range(step, n + 1):
+                        out[j] += out[j - step]
+    return out
+
+
+def _partitions(n):
+    """Partition numbers by the coin-change recurrence."""
+    p = [1] + [0] * n
+    for coin in range(1, n + 1):
+        for j in range(coin, n + 1):
+            p[j] += p[j - coin]
+    return p
+
+
+def _leading(eq):
+    """The least positive prec at or above the leading exponent."""
+    return max(1, -(-sum(delta * r for delta, r in eq.exponents) // 24))
 
 
 class TestQSeries:
-    def test_mul_examples(self):
-        one_plus = QSeries(1, 0, (1, 1, 0))
-        one_minus = QSeries(1, 0, (1, -1, 0))
-        prod = one_plus * one_minus
-        assert [prod.coeff(i) for i in range(3)] == [1, 0, -1]
-        # grading adds: q^(1/24) * q^(23/24) = q
-        a = QSeries(24, 1, (1,))
-        b = QSeries(24, 23, (1,))
-        assert (a * b).nonzero() == [(24, 1)]
-
-    def test_truncation_rule(self):
-        a = QSeries(1, 0, (1, 2, 3))   # known through q^2
-        b = QSeries(1, 1, (5, 6))      # known through q^2, low 1
-        prod = a * b
-        # b.prec + a.low limits: the q^3 term needs the unknown b_3
-        assert prod.low == 1 and prod.prec == 2
-        assert [prod.coeff(i) for i in (1, 2)] == [5, 16]
-
-    @given(series_strategy, series_strategy, series_strategy)
-    @settings(max_examples=120)
-    def test_mul_associative_commutative(self, a, b, c):
-        left = (a * b) * c
-        right = a * (b * c)
-        assert left.grading == right.grading
-        for idx in range(max(left.low, right.low),
-                         min(left.prec, right.prec) + 1):
-            assert left.coeff(idx) == right.coeff(idx)
-        ab, ba = a * b, b * a
-        assert ab.low == ba.low and ab.coeffs == ba.coeffs
-
-    @given(series_strategy, series_strategy, series_strategy)
-    @settings(max_examples=120)
-    def test_mul_distributes(self, a, b, c):
-        lhs = a * (b + c)
-        rhs = a * b + a * c
-        for idx in range(lhs.low, min(lhs.prec, rhs.prec) + 1):
-            assert lhs.coeff(idx) == rhs.coeff(idx)
-
-    def test_inverse_roundtrip(self):
-        eta = eta_expansion(1, 1, 240)
-        inv = eta.inverse(200)
-        prod = eta * inv
-        assert prod.coeff(0) == 1
-        assert all(prod.coeff(i) == 0 for i in range(1, prod.prec + 1))
-
-    def test_inverse_uses_known_coefficients_only(self):
-        # 1 + q is known through q^1 only, so its reciprocal is too
-        short = QSeries(1, 0, (1, 1))
-        assert short.inverse(1).coeffs == (1, -1)
-        with pytest.raises(ValueError):
-            short.inverse(5)
-        # the same known prefix continued by q^2 + 5 q^3
-        assert QSeries(1, 0, (1, 1, 1, 5)).inverse(3).coeffs == (1, -1, 0, -4)
-        # a leading q^2 costs two known indices at each end
-        shifted = QSeries(1, 2, (1, 1, 1, 5))
-        assert shifted.inverse(1).coeffs == (1, -1, 0, -4)
-        with pytest.raises(ValueError):
-            shifted.inverse(2)
-        with pytest.raises(ValueError):
-            QSeries(1, 0, (0, 0, 0)).inverse(0)
-
     def test_json_schema(self):
         s = QSeries(1, 0, (1, 2, 2, 6))
         assert s.to_json() == '{"D": 1, "prec": 3, "coeffs": [1, 2, 2, 6]}'
@@ -114,12 +143,51 @@ class TestEtaExpansion:
             assert coeff == kronecker(-4, n) * n
 
     def test_inverse_times_forward(self):
-        prod = eta_expansion(1, -1, 240) * eta_expansion(1, 1, 240)
-        assert prod.nonzero() == [(0, 1)]
+        # a dividing pass undoes a multiplying pass, in either order
+        for exponents in (((1, -1), (1, 1)),
+                          ((3, 2), (3, -2), (1, 1), (1, -1))):
+            assert _eta_product(exponents, 240) == [1] + [0] * 240
 
     def test_unary_identity_suite(self):
         for check in unary_theta_identities(60):
             assert check.passed, check
+
+    def test_matches_earlier_path(self):
+        for scale in range(1, 7):
+            for power in range(-4, 5):
+                for prec in range(401):
+                    try:
+                        expected = _frozen_eta_expansion(scale, power, prec)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            eta_expansion(scale, power, prec)
+                        continue
+                    assert eta_expansion(scale, power, prec) == expected, \
+                        (scale, power, prec)
+
+
+class TestEtaProduct:
+    def test_matches_one_factor_at_a_time(self):
+        rng = random.Random(7)
+        cases = [((1, -1),), ((1, 24),), ((1, -1), (2, 2), (15, 3)),
+                 ((2, 1), (5, -1), (10, 3), (15, -1), (30, 2))]
+        for _ in range(20):
+            deltas = rng.sample(range(1, 13), rng.randint(1, 3))
+            cases.append(tuple((d, rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)))
+                               for d in deltas))
+        for exponents in cases:
+            assert _eta_product(exponents, 300) == \
+                _factorwise(exponents, 300), exponents
+
+    def test_reciprocal_of_eta_counts_partitions(self):
+        p = _partitions(300)
+        assert p[100] == 190569292
+        assert _eta_product(((1, -1),), 300) == p
+
+    def test_refuses_negative_length(self):
+        assert _eta_product(((1, 5),), 0) == [1]
+        with pytest.raises(ValueError):
+            _eta_product(((1, 5),), -1)
 
 
 class TestEtaQuotient:
@@ -130,6 +198,10 @@ class TestEtaQuotient:
             EtaQuotient(120, ((2, 0),))
         with pytest.raises(ValueError):
             EtaQuotient(120, ((2, 1), (2, 1)))
+        # 4 % -2 == 0, so a negative delta used to pass as a divisor
+        for delta in (-2, 0):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                EtaQuotient(4, ((delta, 1),))
 
     def test_parse(self):
         eq = EtaQuotient.parse("2:2,15:3,1:-1", 120)
@@ -151,6 +223,39 @@ class TestEtaQuotient:
         series = eta_quotient_expansion(EtaQuotient(2, ((1, 1),)), 3)
         assert series.grading == 24
         assert series.nonzero()[0] == (1, 1)
+
+    def test_below_leading_exponent_is_refused(self):
+        # q^2, q^3 and q^7 lead; D = 24 series lead at q^(a/24)
+        for i, lead in ((1, 2), (2, 3), (3, 7)):
+            for prec in range(1, lead):
+                with pytest.raises(ValueError, match="leading exponent"):
+                    eta_quotient_expansion(LEVEL120_QUOTIENTS[i], prec)
+            assert eta_quotient_expansion(LEVEL120_QUOTIENTS[i], lead).coeffs \
+                == (1,)
+        with pytest.raises(ValueError, match="leading exponent"):
+            eta_quotient_expansion(EtaQuotient(1, ((1, 25),)), 1)
+        with pytest.raises(ValueError, match="leading exponent"):
+            eta_expansion(2, 3, 5)
+
+    def test_level120_match_earlier_path(self):
+        for i in (1, 2, 3):
+            eq = LEVEL120_QUOTIENTS[i]
+            for prec in list(range(_leading(eq), 301)) + [6000]:
+                assert eta_quotient_expansion(eq, prec) == \
+                    _frozen_quotient_expansion(eq, prec), (i, prec)
+
+    def test_random_quotients_match_earlier_path(self):
+        rng = random.Random(120)
+        for _ in range(400):
+            level = rng.randint(1, 60)
+            divisors = [d for d in range(1, level + 1) if level % d == 0]
+            deltas = rng.sample(divisors, rng.randint(1, min(4, len(divisors))))
+            eq = EtaQuotient(level, tuple(
+                (d, rng.choice((-4, -3, -2, -1, 1, 2, 3, 4, 8, 24)))
+                for d in deltas))
+            prec = rng.randint(_leading(eq), 200)
+            assert eta_quotient_expansion(eq, prec) == \
+                _frozen_quotient_expansion(eq, prec), (eq, prec)
 
     def test_newman_examples(self):
         report = newman_check(LEVEL120_QUOTIENTS[1])
@@ -242,7 +347,3 @@ class TestThetaQSeries:
         assert series.grading == 1
         assert list(series.coeffs) == [1, 2, 2, 6]
         assert theta_qseries(QuadForm.diagonal((1, 1)), 0).coeffs == (1,)
-
-    def test_series_one(self):
-        one = series_one(1, 4)
-        assert one.coeff(0) == 1 and one.prec == 4

@@ -15,9 +15,9 @@ from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.lattices import all_bundled_forms
 from qflab.regularity import is_strongly_s_regular
-from qflab.theta import (RepQuery, _convolve_trunc, _inverse_trunc,
-                         _mul_trunc, _tails, _theta_unary, represent_count,
-                         short_vectors, theta_coeffs)
+from qflab.theta import (RepQuery, _convolve_trunc, _mul_trunc, _tails,
+                         _theta_unary, represent_count, short_vectors,
+                         theta_coeffs)
 
 
 def box(form: QuadForm, n: int):
@@ -628,15 +628,6 @@ class TestSeriesKernels:
         assert _mul_trunc(a, b, n) == _naive_product(a, b, n)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from((1, -1)), _series, st.integers(0, 60))
-    def test_inverse_trunc_times_series_is_one(self, lead, tail, n):
-        a = ([lead] + tail)[:n + 1]
-        a += [0] * (n + 1 - len(a))
-        inv = _inverse_trunc(a, n)
-        assert len(inv) == n + 1
-        assert _naive_product(a, inv, n) == [1] + [0] * n
-
-    @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 50), st.integers(0, 3000),
            st.sampled_from((1, 4, -4, 12, -3, 5, 8)), st.integers(0, 1))
     def test_twisted_unary_matches_definition(self, a, prec, char, weight):
@@ -647,7 +638,3 @@ class TestSeriesKernels:
         got = _theta_unary(a, prec, char, weight)
         assert got.dtype == np.int64
         assert got.tolist() == expected
-
-    def test_inverse_trunc_needs_unit_lead(self):
-        with pytest.raises(ValueError):
-            _inverse_trunc([2, 1], 3)

@@ -34,8 +34,9 @@ class TestJordanSymbolOdd:
         assert sum(len(u) for u in scales.values()) == 3
 
     def test_rejects_two(self):
-        with pytest.raises(ValueError):
-            jordan_symbol_odd(QuadForm.diagonal((1, 2)), 2)
+        for p in (2, -3, 0, 1, 4, 9, 15):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                jordan_symbol_odd(QuadForm.diagonal((1, 2)), p)
 
 
 class TestWatson:
