@@ -99,10 +99,11 @@ class SquareSplit:
     mu: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=64)
-def _prime_divisors(m: int) -> tuple[int, ...]:
-    # a search or a verify suite splits many n against a few moduli
-    return factorize(m).primes()
+@lru_cache(maxsize=1024)
+def _factors(n: int) -> tuple[tuple[int, int], ...]:
+    # the n <= bound of a search or a verify suite repeat from check to
+    # check, while each check brings its own modulus
+    return factorize(n).factors
 
 
 def square_split(n: int, two_dl: int) -> SquareSplit:
@@ -110,13 +111,13 @@ def square_split(n: int, two_dl: int) -> SquareSplit:
     if n < 1 or two_dl < 1:
         raise ValueError("square_split needs positive arguments")
     n1 = 1
-    rest = n
-    for p in _prime_divisors(two_dl):
-        while rest % p == 0:
-            rest //= p
-            n1 *= p
-    mu = factorize(rest).factors if rest > 1 else ()
-    return SquareSplit(n, n1, rest, tuple(mu))
+    mu = []
+    for p, e in _factors(n):
+        if two_dl % p:
+            mu.append((p, e))
+        else:
+            n1 *= p**e
+    return SquareSplit(n, n1, n // n1, tuple(mu))
 
 
 def h_factor(d_f: int, p: int, mu: int, k: int) -> int:

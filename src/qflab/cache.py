@@ -123,6 +123,8 @@ def cache_theta(form: QuadForm, prec: int,
                 cache_dir: str | os.PathLike | None = None) -> list[int]:
     """Theta coefficients through prec, loaded from or stored to the cache
     directory (no directory resolved: plain recomputation)."""
+    if prec < 0:
+        raise ValueError("prec must be nonnegative")
     directory = resolve_cache_dir(cache_dir)
     if directory is None:
         return theta_coeffs(form, prec)

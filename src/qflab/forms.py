@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import index
 
@@ -158,7 +159,7 @@ class QuadForm:
                         frontier.append(j)
             idx = tuple(sorted(comp))
             sub = tuple(tuple(self.hessian[i][j] for j in idx) for i in idx)
-            blocks.append((idx, QuadForm(sub)))
+            blocks.append((idx, _block_form(sub)))
         return blocks
 
     # -- serialization ---------------------------------------------------
@@ -174,6 +175,12 @@ class QuadForm:
 
     def __str__(self) -> str:
         return self.describe()
+
+
+@lru_cache(maxsize=256)
+def _block_form(hessian: tuple[tuple[int, ...], ...]) -> QuadForm:
+    # forms are immutable, so one instance serves every form with this block
+    return QuadForm(hessian)
 
 
 def parse_form(text: str) -> QuadForm:

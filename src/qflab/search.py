@@ -2,11 +2,11 @@
 square-regularity check, with sound good-prime pre-filters.
 
 Each filter is one instance of the full check (the equation at n = 3, 5
-or 11 when that prime is coprime to the discriminant), so filtered and
-unfiltered runs return identical survivor sets whenever the full bound
-covers the filter primes.  For each a the filters test every (b, c) at
-once with numpy, from the theta of <1,a>; each form that passes them
-gets one full check.
+or 11 when that prime is at most the bound and coprime to the
+discriminant), so filtered and unfiltered runs return identical
+survivor sets.  For each a the filters test every (b, c) at once with
+numpy, from the theta of <1,a>; each form that passes them gets one
+full check, which shares partial theta halves with earlier checks.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def search_diagonal(config: SearchConfig, progress: bool = False,
     up to isometry."""
     start = time.monotonic()
     filters = config.filters
-    filter_primes = [p for p, flag in ((3, filters.mod3), (5, filters.mod5),
-                                       (11, filters.lemma41)) if flag]
+    flags = ((3, filters.mod3), (5, filters.mod5), (11, filters.lemma41))
+    filter_primes = [p for p, on in flags if on and p <= config.bound]
     survivors: list[tuple[int, int, int, int]] = []
     reports: dict[tuple[int, int, int, int], RegularityReport] = {}
     examined = 0

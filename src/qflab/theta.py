@@ -13,7 +13,8 @@ its twist by a Kronecker character and s^weight, which the q-series
 lattice sums use.  `_product` is the one way to multiply theta arrays:
 `theta_coeffs`, both halves of `RepQuery`, the search filters' theta of
 <1,a> and those lattice sums fold their factors with it, through the
-int64 `_convolve_trunc`.
+int64 `_convolve_trunc`.  Partial `RepQuery` halves are memoised in
+`_half` and shared, read-only, by every query that builds them.
 
 `_mul_trunc` is the one exact Python-int truncated product, looping
 over nonzero entries only; the overflow fallback of `_convolve_trunc`
@@ -22,6 +23,7 @@ uses it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -220,6 +222,16 @@ def _product(arrays, prec: int) -> np.ndarray:
     return acc
 
 
+# partial builds stop at _PARTIAL_MAX: at most about 8 MB of int64 arrays
+@lru_cache(maxsize=256)
+def _half(blocks: tuple[QuadForm, ...], n: int) -> np.ndarray:
+    """The theta product through n of a RepQuery half, shared read-only
+    by every query that builds the same half partially."""
+    arr = _product([_theta_sweep(blk, n) for blk in blocks], n)
+    arr.flags.writeable = False
+    return arr
+
+
 def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
     """Representation numbers r(0..n_max) in one enumeration sweep per
     orthogonal block, blocks combined by exact convolution."""
@@ -264,10 +276,13 @@ class RepQuery:
     vectors, each the _product of its block thetas.  Halves of blocks of
     rank <= 2 grow on demand: a query past the built precision rebuilds
     both at max(m, 4 x built, 64), or at prec once that passes
-    _PARTIAL_MAX, so a failing check stops at a small sweep.  A single
-    block (queried by array lookup) or a block of rank >= 3 (a walker
-    step per tail) is built at prec at once.  Only the build at prec
-    asks `cache`, one lookup per block.
+    _PARTIAL_MAX, so a failing check stops at a small sweep.  Partial
+    halves come from the memo `_half`, so checks of forms that share a
+    half (as the diagonal search's do) sweep it once per precision; the
+    build at prec is never memoised.  A single block (queried by array
+    lookup) or a block of rank >= 3 (a walker step per tail) is built at
+    prec at once.  Only the build at prec asks `cache`, one lookup per
+    block, and every build checks the int64 guard.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
@@ -276,10 +291,11 @@ class RepQuery:
         self._memo: dict[int, int] = {}
         blocks = [sub for _, sub in form.orthogonal_blocks()]
         blocks.sort(key=lambda b: b.rank, reverse=True)
-        self._halves = halves = [[blocks[0]], []]
+        halves = [[blocks[0]], []]
         for blk in blocks[1:]:
             halves.sort(key=lambda part: sum(b.rank for b in part))
             halves[0].append(blk)
+        self._halves = [tuple(half) for half in halves]
         self._cache = cache
         self._built = -1
         if not halves[1] or blocks[0].rank > 2:
@@ -288,11 +304,13 @@ class RepQuery:
     def _build(self, n: int) -> None:
         # free the old halves first, so old and new never coexist in memory
         self._a, self._b, self._built = None, None, -1
-        theta = (_theta_sweep if n < self.prec or self._cache is None
-                 else self._cache)
-        a, b = (_product([np.asarray(theta(blk, n), dtype=np.int64)
-                          for blk in half], n)
-                for half in self._halves)
+        if n < self.prec:
+            a, b = (_half(half, n) for half in self._halves)
+        else:
+            theta = _theta_sweep if self._cache is None else self._cache
+            a, b = (_product([np.asarray(theta(blk, n), dtype=np.int64)
+                              for blk in half], n)
+                    for half in self._halves)
         if len(b) > 1 and int(a.max()) * int(b.max()) * (n + 1) >= _INT64_GUARD:
             raise OverflowError("theta convolution would exceed int64")
         self._a, self._b, self._built = a, b, n

@@ -1,0 +1,11 @@
+import pytest
+
+from qflab import arith, forms, theta
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Start every test with empty module memos, so no test sees partial
+    halves, block forms or factorizations that an earlier test left."""
+    for memo in (theta._half, forms._block_form, arith._factors):
+        memo.cache_clear()

@@ -190,6 +190,24 @@ class TestCacheIntegration:
             QuadForm.diagonal((1, 2, 3, 10)), 500)
         assert len(list(tmp_path.iterdir())) == 1
 
+    @pytest.mark.parametrize("prec", ["-2", "-1"])
+    def test_cli_negative_prec_is_a_usage_error(self, tmp_path, capsys, prec):
+        """A negative prec exits 2, as it does without a cache, also when
+        an entry for the form exists; the entry is left as it was."""
+        assert main(["theta", "--form", "1,1", "--prec", "4",
+                     "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (entry,) = tmp_path.iterdir()
+        stored = entry.read_bytes()
+        for cache_dir in (tmp_path, tmp_path / "new"):
+            code = main(["theta", "--form", "1,1", "--prec", prec,
+                         "--cache-dir", str(cache_dir), "--out", "json"])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err == "error: prec must be nonnegative\n"
+        assert list(tmp_path.iterdir()) == [entry]
+        assert entry.read_bytes() == stored
+
     def test_make_cache_none(self, monkeypatch):
         monkeypatch.delenv("QFLAB_CACHE", raising=False)
         assert make_cache(None) is None

@@ -73,6 +73,18 @@ class TestSearchDiagonal:
             e.diagonal for e in classification_passing())
 
 
+@pytest.mark.parametrize("bound", range(1, 13))
+def test_filters_sound_below_the_filter_primes(bound):
+    """A filter prime above the bound is not an instance of the check, so
+    it must not run: survivors match the unfiltered search at every
+    bound, and no filter runs below 3."""
+    on = search_diagonal(SearchConfig(15, bound))
+    off = search_diagonal(
+        SearchConfig(15, bound, SearchFilters(False, False, False)))
+    assert on.survivors == off.survivors
+    assert (on.filtered_out == 0) == (bound < 3)
+
+
 @pytest.mark.parametrize("p", [3, 5, 11])
 def test_filter_pass_matches_point_counts(p):
     """Each batched filter against the equation r(p^2) = r(1) h_p(dF, 1)

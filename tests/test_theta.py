@@ -13,8 +13,8 @@ from qflab import theta
 from qflab._matrix import int_det
 from qflab.arith import kronecker
 from qflab.forms import QuadForm
-from qflab.lattices import all_bundled_forms
-from qflab.regularity import is_strongly_s_regular
+from qflab.lattices import GENUS_PAIRS, all_bundled_forms
+from qflab.regularity import check_indistinguishable, is_strongly_s_regular
 from qflab.theta import (RepQuery, _convolve_trunc, _mul_trunc, _tails,
                          _theta_unary, represent_count, short_vectors,
                          theta_coeffs)
@@ -522,6 +522,121 @@ class TestRepQuery:
             query.count(11)
         with pytest.raises(ValueError):
             query.count(-1)
+
+
+def _memo_test_forms(rng: random.Random, count: int) -> list[QuadForm]:
+    """Diagonal forms <1,a,b,c> and orthogonal sums of two binary forms
+    (odd cross terms included), half of each."""
+    forms = []
+    for i in range(count):
+        if i % 2:
+            forms.append(QuadForm.diagonal(
+                (1, *sorted(rng.randint(1, 24) for _ in range(3)))))
+            continue
+        blocks = []
+        for _ in range(2):
+            a, c = sorted((rng.randint(1, 6), rng.randint(1, 6)))
+            b = rng.choice([b for b in range(-a, a + 1) if b * b < 4 * a * c])
+            blocks.append(((2 * a, b), (b, 2 * c)))
+        (a1, b1), (_, c1) = blocks[0]
+        (a2, b2), (_, c2) = blocks[1]
+        forms.append(QuadForm(((a1, b1, 0, 0), (b1, c1, 0, 0),
+                               (0, 0, a2, b2), (0, 0, b2, c2))))
+    return forms
+
+
+class TestHalfMemo:
+    """Partial RepQuery halves are shared between queries through
+    theta._half; every test starts with it empty (tests/conftest.py)."""
+
+    def test_memoised_halves_are_read_only(self):
+        query = RepQuery(QuadForm.diagonal((1, 2, 3, 10)), 2500)
+        assert query.count(10) == theta_coeffs(query.form, 10)[10]
+        assert query._built == 64
+        for half in (query._a, query._b):
+            with pytest.raises(ValueError):
+                half[0] = 5
+        with pytest.raises(ValueError):
+            theta._half(query._halves[0], 64)[1] += 1
+        assert theta._half.cache_info().hits == 1
+
+    def test_keys_are_partial_and_the_memo_bounded(self):
+        seen = []
+        real = theta._half
+
+        def recording(blocks, n):
+            seen.append((blocks, n))
+            return real(blocks, n)
+
+        form = QuadForm.diagonal((1, 2, 3, 10))
+        pair = GENUS_PAIRS["1,1,3,5"]
+        with mock.patch.object(theta, "_half", recording):
+            assert is_strongly_s_regular(form, 60).passed
+            runs = [(seen[:], 3600, form)]
+            seen.clear()
+            assert check_indistinguishable(pair, 60).passed
+            runs.append((seen[:], 3600, pair.primary, pair.mate))
+        for keys, prec, *checked in runs:
+            assert keys
+            blocks = {sub for f in checked for _, sub in f.orthogonal_blocks()}
+            for half, n in keys:
+                assert n < prec
+                assert set(half) <= blocks
+        assert {n for keys, *_ in runs for _, n in keys} == {64, 256, 1024}
+        info = real.cache_info()
+        assert 0 < info.currsize <= 256 and info.maxsize == 256
+
+    def test_cold_and_warm_reports_agree(self):
+        """200 forms checked in shuffled order, on a cold and then on a
+        warm memo: equal reports, and counts equal to represent_count."""
+        rng = random.Random(1010)
+        forms = _memo_test_forms(rng, 200)
+        order = forms[:]
+        rng.shuffle(order)
+        cold = {f: is_strongly_s_regular(f, 30).to_dict() for f in order}
+        warm_before = theta._half.cache_info()
+        assert warm_before.currsize > 0
+        rng.shuffle(order)
+        warm = {f: is_strongly_s_regular(f, 30).to_dict() for f in order}
+        assert warm == cold
+        assert theta._half.cache_info().hits > warm_before.hits
+        assert {r["verdict"] for r in cold.values()} == {"pass", "fail"}
+        for form in forms[::4]:
+            query = RepQuery(form, 900)
+            for n in rng.sample(range(1, 31), 2):
+                assert query.count(n * n) == represent_count(form, n * n)
+            witness = cold[form].get("counterexample")
+            if witness:
+                n = witness["n"]
+                assert witness["actual"] == represent_count(form, n * n)
+
+    def test_cache_calls_unchanged_by_a_warm_memo(self):
+        """A cache provider is asked for exactly the (block, prec) calls it
+        got before halves were memoised, on a cold and a warm memo."""
+        a2, b14 = ((2, 1), (1, 2)), ((2, 1), (1, 4))
+        checks = [
+            ((1, 2, 3, 10), 20, [(((2,),), 400), (((20,),), 400),
+                                 (((4,),), 400), (((6,),), 400)]),
+            ((1, 2, 3, 3), 600, []),
+            (((2, 1, 0, 0), (1, 4, 0, 0), (0, 0, 4, 1), (0, 0, 1, 6)), 30, []),
+            (((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 4)), 30,
+             [(b14, 900), (a2, 900)]),
+            ((1, 1, 1, 1), 10, [(((2,),), 100)] * 4),
+        ]
+        calls = []
+
+        def cache(block, prec):
+            calls.append((block.hessian, prec))
+            return theta_coeffs(block, prec)
+
+        for _ in range(2):
+            for spec, bound, expected in checks:
+                form = (QuadForm.diagonal(spec) if isinstance(spec[0], int)
+                        else QuadForm(spec))
+                is_strongly_s_regular(form, bound, cache=cache)
+                assert calls == expected, spec
+                calls.clear()
+        assert theta._half.cache_info().hits > 0
 
 
 _dense_arrays = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=60)
