@@ -23,7 +23,9 @@ def main() -> int:
         series = eta_quotient_expansion(eq, args.prec)
         newman = newman_check(eq)
         cusps = cusp_orders(eq)
-        terms = " ".join(f"{c:+d}q^{n}" for n, c in series.nonzero()[:8])
+        nonzero = [(series.low + j, c)
+                   for j, c in enumerate(series.coeffs) if c]
+        terms = " ".join(f"{c:+d}q^{n}" for n, c in nonzero[:8])
         print(f"quotient {i}: {dict(eq.exponents)} at level {eq.level}")
         print(f"  weight {newman.weight}, congruences "
               f"{newman.cond24a and newman.cond24b}, "

@@ -6,14 +6,13 @@ from .arith import (Factorization, SquareSplit, factorize, h_factor,
                     kronecker, local_density_good, square_split, valuation)
 from .cache import cache_theta, make_cache, resolve_cache_dir
 from .forms import (CongruenceSystem, QuadForm, congruence_sublattice,
-                    parse_form, sublattice_index)
+                    parse_form)
 from .lattices import (GENUS_PAIRS, CLASSIFICATION_TABLE, GenusPair, ClassificationEntry,
-                       all_bundled_forms, classification_failing, classification_passing)
+                       all_bundled_forms, classification_passing)
 from .qseries import (EtaQuotient, LEVEL120_QUOTIENTS, QSeries, cusp_orders,
                       divisor_character_sum, eta_expansion,
                       eta_quotient_expansion, quotient_coefficient,
-                      newman_check, sturm_bound, theta_qseries,
-                      unary_theta_identities)
+                      newman_check, sturm_bound, unary_theta_identities)
 from .reduction import canonical_form, is_isometric, minkowski_reduce
 from .regularity import (RegularityReport, check_indistinguishable,
                          hecke_square_recursion_check, is_strongly_s_regular,
@@ -44,8 +43,7 @@ __all__ = [
     "newman_check", "parse_form", "genus_pair_identity_check",
     "represent_count", "resolve_cache_dir", "run_lemma54", "run_props",
     "run_table1", "search_diagonal", "short_vectors",
-    "square_split", "sturm_bound", "sublattice_index",
-    "classification_failing", "classification_passing",
-    "theta_coeffs", "theta_difference_vs_quotients", "theta_qseries",
+    "square_split", "sturm_bound", "classification_passing",
+    "theta_coeffs", "theta_difference_vs_quotients",
     "unary_theta_identities", "valuation", "watson_sublattice",
 ]

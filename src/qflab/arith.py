@@ -64,9 +64,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def factorize(n: int) -> Factorization:
     """Factor a positive integer by trial division."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from operator import index
 
 from ._matrix import conjugate, hnf_basis, integer_kernel
@@ -110,10 +110,6 @@ class QuadForm:
                 g = gcd(g, self.hessian[i][j])
         return g
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.norm_ideal == 1
-
     def evaluate(self, v) -> int:
         """Q(v) = v^T H v / 2."""
         vec = list(v)
@@ -192,6 +188,10 @@ def parse_form(text: str) -> QuadForm:
         if "hessian" not in data:
             raise ValueError('form literal has no "hessian" entry')
         form = QuadForm(data["hessian"])
+        # JSON true and false would pass QuadForm's integer check as 1 and 0
+        if any(isinstance(x, bool)
+               for x in [data.get("rank"), *sum(data["hessian"], [])]):
+            raise ValueError("form literal entries must be integers")
         if "rank" in data and data["rank"] != form.rank:
             raise ValueError("rank field disagrees with hessian size")
         return form
@@ -239,12 +239,3 @@ def congruence_sublattice(form: QuadForm, system: CongruenceSystem) -> QuadForm:
     if any(len(row) != form.rank for row in system.relations if any(row)):
         raise ValueError("relation length must equal the rank")
     return _kernel_mod_sublattice(form, system.relations, system.modulus)
-
-
-def sublattice_index(form: QuadForm, sub: QuadForm) -> int:
-    """Index of a sublattice recovered from the discriminant ratio."""
-    ratio = sub.discriminant // form.discriminant
-    root = isqrt(max(ratio, 0))
-    if root > 0 and root * root == ratio:
-        return root
-    raise ValueError("discriminant ratio is not a perfect square")

@@ -51,10 +51,6 @@ def classification_passing() -> tuple[ClassificationEntry, ...]:
     return tuple(e for e in CLASSIFICATION_TABLE if e.expected_pass)
 
 
-def classification_failing() -> tuple[ClassificationEntry, ...]:
-    return tuple(e for e in CLASSIFICATION_TABLE if not e.expected_pass)
-
-
 @dataclass(frozen=True)
 class GenusPair:
     """A two-class genus: the diagonal representative, its mate, and the

@@ -22,8 +22,7 @@ from math import gcd
 import numpy as np
 
 from .arith import factorize, kronecker
-from .forms import QuadForm
-from .theta import _product, _theta_unary, theta_coeffs
+from .theta import _product, _theta_unary
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,6 @@ class QSeries:
         if index < self.low:
             return 0
         return self.coeffs[index - self.low]
-
-    def nonzero(self):
-        return [(self.low + j, c) for j, c in enumerate(self.coeffs) if c]
 
     def to_json(self) -> str:
         if self.low < 0:
@@ -207,18 +203,8 @@ class CuspReport:
     orders: tuple[tuple[int, Fraction], ...]
 
     @property
-    def is_holomorphic(self) -> bool:
-        return all(order >= 0 for _, order in self.orders)
-
-    @property
     def is_cusp_form(self) -> bool:
         return all(order > 0 for _, order in self.orders)
-
-    def order_at(self, d: int) -> Fraction:
-        for cusp, order in self.orders:
-            if cusp == d:
-                return order
-        raise ValueError(f"{d} is not a cusp divisor")
 
 
 def cusp_orders(eq: EtaQuotient) -> CuspReport:
@@ -352,8 +338,3 @@ def quotient_coefficient(i: int, n: int) -> int:
             arrays.append(_divisor_series(160, prec))
         table = _QUOTIENT_TABLES[i] = _product(arrays, prec)
     return _exact_div(int(table[m]), divisor)
-
-
-def theta_qseries(form: QuadForm, prec: int) -> QSeries:
-    """Theta series of a form as a D = 1 series."""
-    return QSeries(1, 0, tuple(theta_coeffs(form, prec)))

@@ -119,15 +119,6 @@ class PairCheck:
     passed: bool
     counterexample: tuple[int, int, int] | None
 
-    def to_dict(self) -> dict:
-        data = {"pair": self.name, "bound": self.bound,
-                "restricted": self.restricted,
-                "verdict": "pass" if self.passed else "fail"}
-        if self.counterexample:
-            n, a, b = self.counterexample
-            data["counterexample"] = {"n": n, "primary": a, "mate": b}
-        return data
-
 
 def check_indistinguishable(pair: GenusPair, bound: int,
                             restricted: bool = False) -> PairCheck:
@@ -155,12 +146,6 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"suite": self.name,
-                "verdict": "pass" if self.passed else "fail",
-                "checks": [{"name": n, "verdict": "pass" if ok else "fail"}
-                           for n, ok in self.checks]}
 
 
 def hecke_square_recursion_check(form: QuadForm, p: int,

@@ -22,7 +22,7 @@ from .arith import h_factor
 from .forms import QuadForm
 from .reduction import is_isometric
 from .regularity import RegularityReport, is_strongly_s_regular
-from .theta import _product, _theta_unary
+from .theta import _product, _theta_unary, theta_coeffs
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,19 @@ def search_diagonal(config: SearchConfig, progress: bool = False,
 
 
 def _dedupe_isometric(diagonals):
+    """The sorted diagonals less each one isometric to one kept before
+    it.  Only forms with equal discriminant and equal theta series
+    through 4 max(diag) are compared: isometric diagonal forms have the
+    same entries up to order (Eichler's unique decomposition), so both
+    are isometry invariants."""
     kept: list[tuple[int, int, int, int]] = []
-    kept_forms: list[QuadForm] = []
+    groups: dict[tuple, list[QuadForm]] = {}
     for diag in sorted(diagonals):
         form = QuadForm.diagonal(diag)
-        if any(is_isometric(form, other) for other in kept_forms):
+        group = groups.setdefault(
+            (form.discriminant, tuple(theta_coeffs(form, 4 * max(diag)))), [])
+        if any(is_isometric(form, other) for other in group):
             continue
         kept.append(diag)
-        kept_forms.append(form)
+        group.append(form)
     return kept

@@ -15,10 +15,6 @@ lattice sums use.  `_product` is the one way to multiply theta arrays:
 <1,a> and those lattice sums fold their factors with it, through the
 int64 `_convolve_trunc`.  Partial `RepQuery` halves are memoised in
 `_half` and shared, read-only, by every query that builds them.
-
-`_mul_trunc` is the one exact Python-int truncated product, looping
-over nonzero entries only; the overflow fallback of `_convolve_trunc`
-uses it.
 """
 
 from __future__ import annotations
@@ -146,8 +142,8 @@ def _convolve_trunc(a: np.ndarray, b: np.ndarray, prec: int) -> np.ndarray:
     nonzero scan of a, nor for the fixed cost of np.add.at.  For two
     unary thetas the nonzero pairs are the lattice points of the binary
     form up to sign, so a two-unary half costs O(N) instead of
-    O(N^1.5).  Products whose coefficients could reach _INT64_GUARD go
-    to the Python-int _mul_trunc before either path, as an object array.
+    O(N^1.5).  A product whose coefficients could reach _INT64_GUARD
+    raises OverflowError before either path.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -156,7 +152,7 @@ def _convolve_trunc(a: np.ndarray, b: np.ndarray, prec: int) -> np.ndarray:
     bound = (int(np.abs(a).max(initial=0))
              * sum(abs(v) for v in vals.tolist()))
     if bound >= _INT64_GUARD:
-        return np.array(_mul_trunc(a.tolist(), b.tolist(), prec), dtype=object)
+        raise OverflowError("theta convolution would exceed int64")
     top = min(len(a) - 1, prec)
     if len(idx) * (top + 1) >= _SPARSE_MIN_WORK:
         nz = np.flatnonzero(a[:top + 1])
@@ -192,22 +188,6 @@ def _convolve_sparse(ia, va, ib, vb, prec):
         np.add.at(out, pos.ravel(),
                   np.multiply.outer(vb[lo:lo + rows], va[:cols]).ravel())
     return out[:-1]
-
-
-def _mul_trunc(a, b, n: int) -> list[int]:
-    """Exact truncated product: out[m] = sum_{i+j=m} a_i b_j for m <= n,
-    over sequences of Python ints, looping over nonzero pairs only."""
-    items_a = [(i, v) for i, v in enumerate(a[:n + 1]) if v]
-    items_b = [(j, v) for j, v in enumerate(b[:n + 1]) if v]
-    if len(items_a) > len(items_b):
-        items_a, items_b = items_b, items_a
-    out = [0] * (n + 1)
-    for i, av in items_a:
-        for j, bv in items_b:
-            if i + j > n:
-                break
-            out[i + j] += av * bv
-    return out
 
 
 def _product(arrays, prec: int) -> np.ndarray:
@@ -286,7 +266,6 @@ class RepQuery:
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
-        self.form = form
         self.prec = prec
         self._memo: dict[int, int] = {}
         blocks = [sub for _, sub in form.orthogonal_blocks()]

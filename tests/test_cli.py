@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qflab import cli
+from qflab import cli, theta
 from qflab.cli import main
 
 
@@ -58,6 +58,8 @@ class TestCli:
         '{"hessian": [[2.9,0,0,0],[0,2,0,0],[0,0,4,0],[0,0,0,6]]}',
         '{"rank": 2}',
         '{"hessian": [1, 2]}',
+        '{"hessian": [[2,true,0,0],[true,2,0,0],[0,0,2,0],[0,0,0,2]]}',
+        '{"rank": true, "hessian": [[2]]}',
     ])
     def test_malformed_form_literal_is_a_usage_error(self, capsys, literal):
         code, out, err = run_cli(capsys, "sreg", "--form", literal,
@@ -71,6 +73,14 @@ class TestCli:
 
         monkeypatch.setattr(cli, "_dispatch", overflow)
         code, out, err = run_cli(capsys, "sreg", "--form", "1,2,3,10")
+        assert code == 3 and out == ""
+        assert "int64 capacity limit" in err
+
+    def test_capacity_error_from_a_theta_product(self, capsys, monkeypatch):
+        monkeypatch.delenv("QFLAB_CACHE", raising=False)
+        monkeypatch.setattr(theta, "_INT64_GUARD", 100)
+        code, out, err = run_cli(capsys, "theta", "--form", "1,2,3,10",
+                                 "--prec", "50")
         assert code == 3 and out == ""
         assert "int64 capacity limit" in err
 

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,24 @@ def test_star_import():
     namespace: dict = {}
     exec("from qflab import *", namespace)
     assert set(qflab.__all__) <= set(namespace)
+
+
+def test_benchmark_hook_targets_resolve(tmp_path, monkeypatch):
+    """Every function the benchmark's tracer wraps and every attribute a
+    workload hooks must exist, or perfbench/ breaks on its next run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    missing = [(mod, attr) for mod, attr, _ in spans.FUNCTIONS
+               if not hasattr(importlib.import_module(mod), attr)]
+    missing += [(mod, cls, attr) for mod, cls, attr, _ in spans.METHODS
+                if not hasattr(getattr(importlib.import_module(mod), cls),
+                               attr)]
+    for name in workloads.WORKLOADS:
+        hooks = workloads.build(name, 7, tmp_path).hooks(None)
+        missing += [(name, mod.__name__, attr) for mod, attr, _ in hooks
+                    if not hasattr(mod, attr)]
+    assert missing == []
 
 
 def run_script(*argv):

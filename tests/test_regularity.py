@@ -4,8 +4,7 @@ import pytest
 
 from qflab.forms import QuadForm
 from qflab.lattices import (EXPECTED_DISCRIMINANTS, GENUS_PAIRS, CLASSIFICATION_TABLE,
-                            GenusPair, all_bundled_forms, classification_failing,
-                            classification_passing)
+                            GenusPair, all_bundled_forms, classification_passing)
 from qflab.regularity import (check_indistinguishable,
                               hecke_square_recursion_check,
                               is_strongly_s_regular, m_s,
@@ -84,7 +83,8 @@ class TestBundledLattices:
     def test_table_shape(self):
         assert len(CLASSIFICATION_TABLE) == 36
         assert len(classification_passing()) == 34
-        assert {e.diagonal for e in classification_failing()} == set(KNOWN_WITNESSES)
+        assert {e.diagonal for e in CLASSIFICATION_TABLE
+                if not e.expected_pass} == set(KNOWN_WITNESSES)
         groups = {}
         for e in classification_passing():
             groups[e.group] = groups.get(e.group, 0) + 1
@@ -125,8 +125,9 @@ class TestIndistinguishable:
 
     def test_report_fields(self):
         report = check_indistinguishable(GENUS_PAIRS["1,1,3,5"], 30)
-        data = report.to_dict()
-        assert data["verdict"] == "pass" and data["bound"] == 30
+        assert report.passed and report.bound == 30
+        assert report.name == "1,1,3,5" and not report.restricted
+        assert report.counterexample is None
 
 
 class TestHeckeRecursion:

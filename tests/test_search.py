@@ -1,10 +1,14 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from qflab.arith import h_factor
 from qflab.forms import QuadForm
 from qflab.lattices import classification_passing
-from qflab.search import (SearchConfig, SearchFilters, _filter_pass,
-                          search_diagonal)
+from qflab.reduction import is_isometric
+from qflab.search import (SearchConfig, SearchFilters, _dedupe_isometric,
+                          _filter_pass, search_diagonal)
 from qflab.theta import represent_count
 
 
@@ -101,3 +105,25 @@ def test_filter_pass_matches_point_counts(p):
             form = QuadForm.diagonal((1, a, b, c))
             assert kept == (represent_count(form, p * p)
                             == r1 * h_factor(16 * a * b * c, p, 1, 4)), (a, b, c)
+
+
+def _pairwise_dedupe(diagonals):
+    """Reference: compare each form with every form kept before it."""
+    kept, forms = [], []
+    for diag in sorted(diagonals):
+        form = QuadForm.diagonal(diag)
+        if not any(is_isometric(form, other) for other in forms):
+            kept.append(diag)
+            forms.append(form)
+    return kept
+
+
+def test_dedupe_matches_pairwise_reference():
+    diagonals = [(1, 2, 1, 3), (1, 1, 2, 3), (1, 1, 3, 2), (1, 2, 3, 4)]
+    assert _dedupe_isometric(diagonals) == [(1, 1, 2, 3), (1, 2, 3, 4)]
+    rng = random.Random(11)
+    for _ in range(5):
+        bases = [tuple(rng.randint(1, 9) for _ in range(4)) for _ in range(6)]
+        diagonals = [rng.choice(list(permutations(d))) for d in bases
+                     for _ in range(4)]
+        assert _dedupe_isometric(diagonals) == _pairwise_dedupe(diagonals)

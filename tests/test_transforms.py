@@ -82,7 +82,7 @@ class TestWatson:
         assert sub.norm_ideal % 2 == 0
         assert all(q % 2 == 0 for q in sub.diag_q)
         scaled = lambda_transform(form, 2)
-        assert scaled.is_normalized
+        assert scaled.norm_ideal == 1
 
 
 class TestGamma:
