@@ -20,9 +20,8 @@ import numpy as np
 
 from .arith import h_factor
 from .forms import QuadForm
-from .reduction import is_isometric
 from .regularity import RegularityReport, is_strongly_s_regular
-from .theta import _product, _theta_unary, theta_coeffs
+from .theta import _product, _theta_unary
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,10 @@ def _filter_pass(a: int, c_max: int, primes):
 def search_diagonal(config: SearchConfig, progress: bool = False,
                     cache=None) -> SearchResult:
     """Enumerate <1,a,b,c> with 1 <= a <= b <= c <= c_max and keep the
-    forms passing the full check to the configured bound, deduplicated
-    up to isometry."""
+    forms passing the full check to the configured bound.  Distinct
+    sorted diagonals are never isometric (Eichler's unique decomposition
+    of positive definite lattices), so no survivor duplicates another up
+    to isometry."""
     start = time.monotonic()
     filters = config.filters
     flags = ((3, filters.mod3), (5, filters.mod5), (11, filters.lemma41))
@@ -129,26 +130,7 @@ def search_diagonal(config: SearchConfig, progress: bool = False,
                           file=sys.stderr, flush=True)
                     last_tick = now
         examined += len(bs)
-    survivors = _dedupe_isometric(survivors)
     elapsed = time.monotonic() - start
     return SearchResult(config, survivors, examined, filtered, elapsed,
-                        {d: reports[d] for d in survivors})
+                        reports)
 
-
-def _dedupe_isometric(diagonals):
-    """The sorted diagonals less each one isometric to one kept before
-    it.  Only forms with equal discriminant and equal theta series
-    through 4 max(diag) are compared: isometric diagonal forms have the
-    same entries up to order (Eichler's unique decomposition), so both
-    are isometry invariants."""
-    kept: list[tuple[int, int, int, int]] = []
-    groups: dict[tuple, list[QuadForm]] = {}
-    for diag in sorted(diagonals):
-        form = QuadForm.diagonal(diag)
-        group = groups.setdefault(
-            (form.discriminant, tuple(theta_coeffs(form, 4 * max(diag)))), [])
-        if any(is_isometric(form, other) for other in group):
-            continue
-        kept.append(diag)
-        group.append(form)
-    return kept

@@ -14,7 +14,8 @@ lattice sums use.  `_product` is the one way to multiply theta arrays:
 `theta_coeffs`, both halves of `RepQuery`, the search filters' theta of
 <1,a> and those lattice sums fold their factors with it, through the
 int64 `_convolve_trunc`.  Partial `RepQuery` halves are memoised in
-`_half` and shared, read-only, by every query that builds them.
+`_half` and shared, read-only, by every query that builds them; a query
+is one float64 BLAS dot, exact under a 2^53 guard.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .forms import QuadForm
 
 _FLUSH = 1 << 21
 _INT64_GUARD = 1 << 62
+_QUERY_GUARD = 1 << 53  # integers below it are exact in float64
 # _convolve_trunc path choice and chunk size, see its docstring
 _SPARSE_MIN_WORK = 1 << 20
 _SPARSE_DENSITY = 16
@@ -202,12 +204,15 @@ def _product(arrays, prec: int) -> np.ndarray:
     return acc
 
 
-# partial builds stop at _PARTIAL_MAX: at most about 8 MB of int64 arrays
+# partial builds stop at _PARTIAL_MAX: at most about 16 MB of float64 arrays
 @lru_cache(maxsize=256)
 def _half(blocks: tuple[QuadForm, ...], n: int) -> np.ndarray:
-    """The theta product through n of a RepQuery half, shared read-only
-    by every query that builds the same half partially."""
+    """The theta product through n of a RepQuery half and then the same
+    reversed, as float64: a query takes a from the front of one half and
+    b from the back of the other.  Shared read-only by every query that
+    builds the same half partially."""
     arr = _product([_theta_sweep(blk, n) for blk in blocks], n)
+    arr = np.concatenate((arr, arr[::-1]), dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
@@ -262,7 +267,12 @@ class RepQuery:
     build at prec is never memoised.  A single block (queried by array
     lookup) or a block of rank >= 3 (a walker step per tail) is built at
     prec at once.  Only the build at prec asks `cache`, one lookup per
-    block, and every build checks the int64 guard.
+    block.  A query is one float64 BLAS dot, exact in any summation
+    order: every build raises OverflowError unless max(a) max(b) (n + 1),
+    which bounds each term and partial sum, is below 2^53.  b is kept
+    reversed and contiguous, since a reversed view gets no BLAS and is
+    slower than an int64 dot.  No int64 dot is kept: that bound reaches
+    2^53 only for halves far larger than memory.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
@@ -284,14 +294,21 @@ class RepQuery:
         # free the old halves first, so old and new never coexist in memory
         self._a, self._b, self._built = None, None, -1
         if n < self.prec:
-            a, b = (_half(half, n) for half in self._halves)
+            a = _half(self._halves[0], n)[:n + 1]
+            b = _half(self._halves[1], n)[n + 1:]
         else:
             theta = _theta_sweep if self._cache is None else self._cache
             a, b = (_product([np.asarray(theta(blk, n), dtype=np.int64)
                               for blk in half], n)
                     for half in self._halves)
-        if len(b) > 1 and int(a.max()) * int(b.max()) * (n + 1) >= _INT64_GUARD:
-            raise OverflowError("theta convolution would exceed int64")
+            if len(b) > 1:
+                # converted one at a time, so at most three halves coexist
+                a = a.astype(np.float64)
+                b = np.ascontiguousarray(b[::-1], dtype=np.float64)
+                a.flags.writeable = b.flags.writeable = False
+        # float64 maxima are exact below 2^53, and at least 2^53 past it
+        if len(b) > 1 and int(a.max()) * int(b.max()) * (n + 1) >= _QUERY_GUARD:
+            raise OverflowError("theta dot query could reach 2^53")
         self._a, self._b, self._built = a, b, n
 
     def count(self, m: int) -> int:
@@ -308,6 +325,6 @@ class RepQuery:
         if len(self._b) == 1:
             val = int(self._a[m])
         else:
-            val = int(np.dot(self._a[:m + 1], self._b[m::-1]))
+            val = int(np.dot(self._a[:m + 1], self._b[len(self._b) - 1 - m:]))
         self._memo[m] = val
         return val

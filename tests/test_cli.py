@@ -84,6 +84,15 @@ class TestCli:
         assert code == 3 and out == ""
         assert "int64 capacity limit" in err
 
+    def test_capacity_error_from_a_dot_query_build(self, capsys,
+                                                   monkeypatch):
+        monkeypatch.delenv("QFLAB_CACHE", raising=False)
+        monkeypatch.setattr(theta, "_QUERY_GUARD", 100)
+        code, out, err = run_cli(capsys, "sreg", "--form", "1,2,3,10",
+                                 "--bound", "50")
+        assert code == 3 and out == ""
+        assert "2^53" in err
+
     def test_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "lambda", "--form", "1,3,3,9",
                                "--n", "3")

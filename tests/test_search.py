@@ -1,5 +1,4 @@
-import random
-from itertools import permutations
+from itertools import combinations
 
 import pytest
 
@@ -7,8 +6,8 @@ from qflab.arith import h_factor
 from qflab.forms import QuadForm
 from qflab.lattices import classification_passing
 from qflab.reduction import is_isometric
-from qflab.search import (SearchConfig, SearchFilters, _dedupe_isometric,
-                          _filter_pass, search_diagonal)
+from qflab.search import (SearchConfig, SearchFilters, _filter_pass,
+                          search_diagonal)
 from qflab.theta import represent_count
 
 
@@ -107,23 +106,20 @@ def test_filter_pass_matches_point_counts(p):
                             == r1 * h_factor(16 * a * b * c, p, 1, 4)), (a, b, c)
 
 
-def _pairwise_dedupe(diagonals):
-    """Reference: compare each form with every form kept before it."""
-    kept, forms = [], []
-    for diag in sorted(diagonals):
+@pytest.mark.parametrize("c_max, bound", [(15, 1), (40, 50)])
+def test_survivors_are_pairwise_non_isometric(c_max, bound):
+    """Survivors are distinct sorted diagonals (1, a, b, c), a <= b <= c,
+    so by Eichler's unique decomposition no two are isometric, and the
+    search needs no isometry dedupe: every pair of survivors with equal
+    discriminant is checked."""
+    survivors = search_diagonal(SearchConfig(c_max, bound)).survivors
+    assert survivors == sorted(set(survivors))
+    assert all(d[0] == 1 and d[1] <= d[2] <= d[3] for d in survivors)
+    groups = {}
+    for diag in survivors:
         form = QuadForm.diagonal(diag)
-        if not any(is_isometric(form, other) for other in forms):
-            kept.append(diag)
-            forms.append(form)
-    return kept
-
-
-def test_dedupe_matches_pairwise_reference():
-    diagonals = [(1, 2, 1, 3), (1, 1, 2, 3), (1, 1, 3, 2), (1, 2, 3, 4)]
-    assert _dedupe_isometric(diagonals) == [(1, 1, 2, 3), (1, 2, 3, 4)]
-    rng = random.Random(11)
-    for _ in range(5):
-        bases = [tuple(rng.randint(1, 9) for _ in range(4)) for _ in range(6)]
-        diagonals = [rng.choice(list(permutations(d))) for d in bases
-                     for _ in range(4)]
-        assert _dedupe_isometric(diagonals) == _pairwise_dedupe(diagonals)
+        groups.setdefault(form.discriminant, []).append(form)
+    pairs = [pair for group in groups.values()
+             for pair in combinations(group, 2)]
+    assert pairs
+    assert not any(is_isometric(f, g) for f, g in pairs)

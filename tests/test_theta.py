@@ -13,7 +13,8 @@ from qflab import theta
 from qflab._matrix import int_det
 from qflab.arith import kronecker
 from qflab.forms import QuadForm
-from qflab.lattices import GENUS_PAIRS, all_bundled_forms
+from qflab.lattices import (CLASSIFICATION_TABLE, GENUS_PAIRS,
+                            all_bundled_forms)
 from qflab.regularity import check_indistinguishable, is_strongly_s_regular
 from qflab.theta import (RepQuery, _convolve_trunc, _tails, _theta_unary,
                          represent_count, short_vectors, theta_coeffs)
@@ -499,16 +500,16 @@ class TestRepQuery:
         assert calls == []
 
     def test_int64_guard_checked_at_every_build(self):
-        """A build whose dot products could pass the guard raises, and
-        leaves no halves behind to answer a later query from."""
+        """A build whose dot products could pass the query guard raises,
+        and leaves no halves behind to answer a later query from."""
         form = QuadForm.diagonal((1, 2, 3, 10))
-        with mock.patch.object(theta, "_INT64_GUARD", 1):
+        with mock.patch.object(theta, "_QUERY_GUARD", 1):
             query = RepQuery(form, 5000)
             for m in (0, 4000, 100, 5000, 100):
                 with pytest.raises(OverflowError):
                     query.count(m)
         # the build at 64 passes (peak 3,120), the one at prec does not
-        with mock.patch.object(theta, "_INT64_GUARD", 10**4):
+        with mock.patch.object(theta, "_QUERY_GUARD", 10**4):
             query = RepQuery(form, 5000)
             assert query.count(10) == theta_coeffs(form, 10)[10]
             with pytest.raises(OverflowError):
@@ -516,12 +517,81 @@ class TestRepQuery:
             with pytest.raises(OverflowError):
                 query.count(4000)
 
+    @pytest.mark.parametrize("prec, a_max, b_max, fits", [
+        (127, 1 << 23, 1 << 23, False),  # 2^46 (127 + 1) = 2^53
+        (6360, 69431, 20394401, True),  # 6361 69431 20394401 = 2^53 - 1
+    ])
+    def test_query_guard_edge(self, prec, a_max, b_max, fits):
+        """Halves whose dot bound max(a) max(b) (n + 1) is exactly 2^53
+        are refused; at 2^53 - 1 they build, and every dot, 2^53 - 1
+        itself at prec, equals the Python-int sum."""
+        assert a_max * b_max * (prec + 1) == theta._QUERY_GUARD - fits
+        built = []
+
+        def flat_half(arrays, n):
+            # the half of <1> has r(1) = 2, the half of <2> r(1) = 0
+            built.append(np.full(n + 1, a_max if arrays[0][1] else b_max,
+                                 dtype=np.int64))
+            return built[-1]
+
+        with mock.patch.object(theta, "_product", flat_half):
+            query = RepQuery(QuadForm.diagonal((1, 2)), prec)
+            if not fits:
+                with pytest.raises(OverflowError, match=r"2\^53"):
+                    query.count(prec)
+                return
+            got = {m: query.count(m) for m in (prec, 0, 1, 4097)}
+        assert not (query._a.flags.writeable or query._b.flags.writeable)
+        a, b = (arr.tolist() for arr in built)
+        assert got[prec] == theta._QUERY_GUARD - 1
+        for m, val in got.items():
+            assert val == sum(a[i] * b[m - i] for i in range(m + 1))
+
     def test_bounds(self):
         query = RepQuery(QuadForm.diagonal((1, 2)), 10)
         with pytest.raises(ValueError):
             query.count(11)
         with pytest.raises(ValueError):
             query.count(-1)
+
+
+class TestFloatDotQueries:
+    """Every dot query that is_strongly_s_regular asks equals the int64
+    dot of int64 halves that _product makes afresh, not RepQuery's
+    float64 ones: the Table 1 forms at bound 600 and the genus pairs'
+    forms at bound 200 (their ternary blocks make 600 slow)."""
+
+    @staticmethod
+    def _check(form: QuadForm, bound: int, passes: bool):
+        asked = []
+        real = RepQuery.count
+
+        def recording(query, m):
+            asked.append((query, m, real(query, m)))
+            return asked[-1][2]
+
+        with mock.patch.object(RepQuery, "count", recording):
+            assert is_strongly_s_regular(form, bound).passed == passes
+        (query,) = {q for q, _, _ in asked}
+        assert query._b.dtype == np.float64 and len(query._b) > 1
+        top = max(m for _, m, _ in asked)
+        a_int, b_int = (theta._product([theta._theta_sweep(blk, top)
+                                        for blk in half], top)
+                        for half in query._halves)
+        assert a_int.dtype == b_int.dtype == np.int64
+        for _, m, val in asked:
+            assert val == int(np.dot(a_int[:m + 1], b_int[m::-1])), m
+
+    @pytest.mark.parametrize("entry", CLASSIFICATION_TABLE,
+                             ids=lambda e: ",".join(map(str, e.diagonal)))
+    def test_classification_table_at_600(self, entry):
+        self._check(QuadForm.diagonal(entry.diagonal), 600,
+                    entry.expected_pass)
+
+    @pytest.mark.parametrize("name", GENUS_PAIRS)
+    @pytest.mark.parametrize("side", ["primary", "mate"])
+    def test_genus_pair_forms(self, name, side):
+        self._check(getattr(GENUS_PAIRS[name], side), 200, True)
 
 
 def _memo_test_forms(rng: random.Random, count: int) -> list[QuadForm]:
