@@ -1,7 +1,8 @@
 """Command line driver.
 
-Exit codes: 0 all checks pass, 1 verification mismatch, 2 usage error,
-3 request beyond the int64 capacity of the theta engine.
+Exit codes: 0 all checks pass, 1 verification mismatch, 2 usage error
+or unusable cache directory, 3 request beyond the exact integer capacity
+of the theta engine.
 """
 
 from __future__ import annotations
@@ -114,11 +115,14 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except OverflowError as exc:
-        print(f"error: request exceeds the int64 capacity limit of the "
-              f"theta engine ({exc})", file=sys.stderr)
+        print(f"error: request exceeds the exact integer capacity limit of "
+              f"the theta engine ({exc})", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the cache directory is the CLI's only file I/O
+        print(f"error: unusable cache directory: {exc}", file=sys.stderr)
         return 2
 
 

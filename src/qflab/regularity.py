@@ -36,7 +36,7 @@ def m_s(form: QuadForm, cap: int = 100) -> int:
 class RegularityReport:
     form: QuadForm
     bound: int
-    ms_value: int
+    ms_value: int | None  # None: no represented square within m_s's cap
     passed: bool
     counterexample: tuple[int, int, int] | None  # n, expected, actual
 
@@ -77,8 +77,9 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
                           cache=None) -> RegularityReport:
     """Check the square-regularity equation for every n <= bound.
 
-    Theta data to precision bound^2 is prepared once; each n is then two
-    point queries and a product of good-prime factors.
+    Theta data to precision bound^2 is prepared once; each n is then one
+    point query, r(n1^2) from an earlier n, and a product of good-prime
+    factors.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -89,24 +90,27 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
     # power of 2 and gives the wrong quadratic character)
     d_f = form.discriminant if form.rank == 4 else form.discriminant // 2
     query = RepQuery(form, bound * bound, cache=cache)
-    ms_value = 0
+    r_sq = [1]  # r(n^2) for n = 0, 1, ...
     counterexample = None
     for n in range(1, bound + 1):
-        actual = query.count(n * n)
-        if ms_value == 0 and actual:
-            ms_value = n
+        r_sq.append(query.count(n * n))
         split = square_split(n, 2 * d_f)
         if split.n2 == 1:
             continue
-        expected = query.count(split.n1 * split.n1)
+        expected = r_sq[split.n1]
         if expected:
             for p, mu in split.mu:
                 expected *= h_factor(d_f, p, mu, form.rank)
-        if expected != actual:
-            counterexample = (n, expected, actual)
+        if expected != r_sq[n]:
+            counterexample = (n, expected, r_sq[n])
             break
-    if ms_value == 0 and counterexample is None:
-        ms_value = m_s(form, max(bound, 100))
+    # with no r(n^2) > 0 every expected value was 0: no counterexample
+    ms_value = next((n for n in range(1, len(r_sq)) if r_sq[n]), None)
+    if ms_value is None:
+        try:
+            ms_value = m_s(form, max(bound, 100))
+        except ValueError:
+            pass  # no represented square within the cap: ms unknown
     return RegularityReport(form, bound, ms_value,
                             counterexample is None, counterexample)
 
@@ -165,13 +169,14 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
     chi = kronecker(form.discriminant, p)
     query = RepQuery(form, p * p * bound * bound)
     ok = True
+    r_sq = [1]  # r(n^2) for n = 0, 1, ...
     for n in range(1, bound + 1):
         lhs = query.count(p * p * n * n)
+        r_sq.append(query.count(n * n))
         if n % p == 0:
-            rhs = (p * p + 1) * query.count(n * n) \
-                - p * p * query.count((n // p) * (n // p))
+            rhs = (p * p + 1) * r_sq[n] - p * p * r_sq[n // p]
         else:
-            rhs = (p * p + chi * p + 1) * query.count(n * n)
+            rhs = (p * p + chi * p + 1) * r_sq[n]
         if lhs != rhs:
             ok = False
             break
@@ -212,16 +217,11 @@ def genus_pair_identity_check(which: str, n_max: int,
         qk = RepQuery(k, max(3 * n_max + 1, 4))
         ok_a = ok_b = True
         for n in range(1, n_max + 1):
-            lhs = qa.count(9 * n * n)
-            rhs = 4 * qt.count(9 * n * n) - 3 * qa.count(n * n)
-            ok_a = ok_a and lhs == rhs
-            lhs = qb.count(9 * n * n)
-            rhs = 4 * qt.count(9 * n * n) - 3 * qb.count(n * n)
-            ok_b = ok_b and lhs == rhs
-        unit = all(
-            qa.count(3 * n + 1) == 2 * qk.count(3 * n + 1)
-            and qb.count(3 * n + 1) == 2 * qk.count(3 * n + 1)
-            for n in range(n_max + 1))
+            aux = 4 * qt.count(9 * n * n)
+            ok_a = ok_a and qa.count(9 * n * n) == aux - 3 * qa.count(n * n)
+            ok_b = ok_b and qb.count(9 * n * n) == aux - 3 * qb.count(n * n)
+        unit = all(qa.count(m) == qb.count(m) == 2 * qk.count(m)
+                   for m in range(1, 3 * n_max + 2, 3))
         consequence = _range_equal(qa, qb, (n * n for n in range(1, n_max + 1)))
         return IdentityReport("1,1,3,5", (
             (f"r(9n^2) = 4 r(9n^2, aux) - 3 r(n^2), n<={n_max}", ok_a),
@@ -245,14 +245,12 @@ def genus_pair_identity_check(which: str, n_max: int,
         ok_a = ok_b = ok_k1 = ok_k2 = True
         for n in range(1, n_max + 1):
             sq = n * n
-            ok_a = ok_a and qa.count(25 * sq) == (
-                2 * qm.count(5 * sq) + 4 * qn.count(5 * sq) - 5 * qa.count(sq))
-            ok_b = ok_b and qb.count(25 * sq) == (
-                2 * qm.count(5 * sq) + 4 * qn.count(5 * sq) - 5 * qb.count(sq))
-            ok_k1 = ok_k1 and q1.count(25 * sq) == (
-                2 * qn.count(5 * sq) - qa.count(sq))
-            ok_k2 = ok_k2 and q2.count(25 * sq) == (
-                2 * qn.count(5 * sq) - qb.count(sq))
+            ra, rb, rn = qa.count(sq), qb.count(sq), qn.count(5 * sq)
+            step = 2 * qm.count(5 * sq) + 4 * rn
+            ok_a = ok_a and qa.count(25 * sq) == step - 5 * ra
+            ok_b = ok_b and qb.count(25 * sq) == step - 5 * rb
+            ok_k1 = ok_k1 and q1.count(25 * sq) == 2 * rn - ra
+            ok_k2 = ok_k2 and q2.count(25 * sq) == 2 * rn - rb
         if mod5_bound is None:
             mod5_bound = max(n_max, 200)
         ta = theta_coeffs(pair.primary, mod5_bound)

@@ -272,12 +272,13 @@ class RepQuery:
     which bounds each term and partial sum, is below 2^53.  b is kept
     reversed and contiguous, since a reversed view gets no BLAS and is
     slower than an int64 dot.  No int64 dot is kept: that bound reaches
-    2^53 only for halves far larger than memory.
+    2^53 only for halves far larger than memory.  Answers are not
+    remembered: a query is recomputed each time, so a caller that reuses
+    a count keeps it.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
         self.prec = prec
-        self._memo: dict[int, int] = {}
         blocks = [sub for _, sub in form.orthogonal_blocks()]
         blocks.sort(key=lambda b: b.rank, reverse=True)
         halves = [[blocks[0]], []]
@@ -316,15 +317,9 @@ class RepQuery:
             raise ValueError("m must be nonnegative")
         if m > self.prec:
             raise ValueError(f"query {m} beyond precision {self.prec}")
-        hit = self._memo.get(m)
-        if hit is not None:
-            return hit
         if m > self._built:
             n = max(m, 4 * self._built, 64)
             self._build(self.prec if n > _PARTIAL_MAX else min(n, self.prec))
         if len(self._b) == 1:
-            val = int(self._a[m])
-        else:
-            val = int(np.dot(self._a[:m + 1], self._b[len(self._b) - 1 - m:]))
-        self._memo[m] = val
-        return val
+            return int(self._a[m])
+        return int(np.dot(self._a[:m + 1], self._b[len(self._b) - 1 - m:]))

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -74,7 +75,7 @@ class TestCli:
         monkeypatch.setattr(cli, "_dispatch", overflow)
         code, out, err = run_cli(capsys, "sreg", "--form", "1,2,3,10")
         assert code == 3 and out == ""
-        assert "int64 capacity limit" in err
+        assert "capacity limit" in err
 
     def test_capacity_error_from_a_theta_product(self, capsys, monkeypatch):
         monkeypatch.delenv("QFLAB_CACHE", raising=False)
@@ -82,7 +83,7 @@ class TestCli:
         code, out, err = run_cli(capsys, "theta", "--form", "1,2,3,10",
                                  "--prec", "50")
         assert code == 3 and out == ""
-        assert "int64 capacity limit" in err
+        assert "capacity limit" in err and "int64" in err
 
     def test_capacity_error_from_a_dot_query_build(self, capsys,
                                                    monkeypatch):
@@ -92,6 +93,41 @@ class TestCli:
                                  "--bound", "50")
         assert code == 3 and out == ""
         assert "2^53" in err
+
+    def test_sreg_ms_unknown_past_the_fallback_cap(self, capsys):
+        """No represented square up to the m_s cap of 100 is not a usage
+        error: the check passes and ms is null."""
+        code, out, err = run_cli(capsys, "sreg", "--form", "101,101,101,101",
+                                 "--bound", "20", "--out", "json")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["verdict"] == "pass" and data["ms"] is None
+        code, out, _ = run_cli(capsys, "sreg", "--form", "101,101,101,101",
+                               "--bound", "20", "--out", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == '"101,101,101,101",1664966416,,pass,,,'
+        code, out, _ = run_cli(capsys, "sreg", "--form", "101,101,101,101",
+                               "--bound", "101", "--out", "json")
+        assert code == 0 and json.loads(out)["ms"] == 101
+
+    @pytest.mark.parametrize("argv", [
+        ("theta", "--form", "1,1", "--prec", "5"),
+        ("sreg", "--form", "1,2,3,10", "--bound", "5"),
+        ("verify", "table1", "--bound", "50"),
+    ], ids=["theta", "sreg", "verify"])
+    def test_unusable_cache_dir_is_a_usage_error(self, capsys, tmp_path,
+                                                 argv):
+        """A regular file as the cache directory, or a path under one,
+        exits 2 with one error line naming the path and the OS reason."""
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        for cache_dir, reason in ((path, "File exists"),
+                                  (path / "x", "Not a directory")):
+            code, out, err = run_cli(capsys, *argv, "--cache-dir",
+                                     str(cache_dir))
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert str(cache_dir) in err and reason in err
 
     def test_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "lambda", "--form", "1,3,3,9",
@@ -174,3 +210,30 @@ class TestCli:
         header, *rows = out.strip().splitlines()
         assert header.startswith("form,dF,ms,verdict")
         assert all(",pass," in row for row in rows)
+
+
+def readme_cli_examples():
+    """(argv, expected exit code) of each qflab line in the sh block under
+    "## CLI" in README.md; "exit 1" in a line's comment expects 1."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    examples = []
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv and argv[0] == "qflab":
+            examples.append((argv[1:], 1 if "exit 1" in comment else 0))
+    assert examples, "no qflab line in the sh block under ## CLI"
+    return examples
+
+
+# test_criterion_7_search already runs a search of that size
+README_EXAMPLES = [(argv, code) for argv, code in readme_cli_examples()
+                   if argv[:3] != ["search", "--cmax", "121"]]
+
+
+@pytest.mark.parametrize("argv, code", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_cli_examples(capsys, monkeypatch, argv, code):
+    monkeypatch.delenv("QFLAB_CACHE", raising=False)
+    assert run_cli(capsys, *argv)[0] == code

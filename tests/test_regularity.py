@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,20 @@ KNOWN_WITNESSES = {
     (1, 2, 3, 3): (10, 210, 146),
     (1, 3, 3, 18): (10, 210, 146),
 }
+
+
+def count_calls(check, *args):
+    """check(*args) and the number of RepQuery.count calls it made."""
+    original = RepQuery.count
+    calls = []
+
+    def spy(query, m):
+        calls.append(m)
+        return original(query, m)
+
+    with mock.patch.object(RepQuery, "count", spy):
+        result = check(*args)
+    return result, len(calls)
 
 
 class TestMs:
@@ -67,10 +82,50 @@ class TestStronglySRegular:
         with pytest.raises(ValueError):
             is_strongly_s_regular(QuadForm.diagonal((1, 1, 1, 1)), 0)
 
+    def test_ms_unknown_past_the_fallback_cap(self):
+        """No square up to the cap of the m_s fallback: the equation still
+        holds (both sides are 0), and ms is reported as unknown."""
+        form = QuadForm.diagonal((101, 101, 101, 101))
+        report = is_strongly_s_regular(form, 20)
+        assert report.passed and report.ms_value is None
+        assert report.to_dict()["ms"] is None
+        assert report.csv_row()[2] is None
+        assert is_strongly_s_regular(form, 101).ms_value == 101
+
+    def test_ms_found_past_the_bound(self):
+        report = is_strongly_s_regular(QuadForm.diagonal((2, 9, 9, 27)), 2)
+        assert report.passed and report.ms_value == 3
+
     def test_deterministic(self):
         form = QuadForm.diagonal((1, 3, 3, 18))
         assert (is_strongly_s_regular(form, 60).to_dict()
                 == is_strongly_s_regular(form, 60).to_dict())
+
+
+class TestCountsAskedOncePerUse:
+    """Each check asks RepQuery for a count once per use: r(n1^2), r(n^2)
+    for the Hecke step and the counts shared by two identities come from
+    the check's own records."""
+
+    def test_strong_regularity_one_query_per_square(self):
+        report, calls = count_calls(
+            is_strongly_s_regular, QuadForm.diagonal((1, 2, 3, 10)), 100)
+        assert report.passed and calls == 100
+
+    def test_hecke_recursion_two_queries_per_n(self):
+        report, calls = count_calls(
+            hecke_square_recursion_check, QuadForm.diagonal((1, 1, 1, 1)),
+            3, 30)
+        assert report.passed and calls == 60
+
+    @pytest.mark.parametrize("which, calls_expected", [
+        ("1,2,3,10", 80),  # 8 per n
+        # 5 per n, 3 per m = 3n + 1 for 0 <= n <= 10, 2 per n^2
+        ("1,1,3,5", 5 * 10 + 3 * 11 + 2 * 10),
+    ])
+    def test_genus_pair_identities(self, which, calls_expected):
+        report, calls = count_calls(genus_pair_identity_check, which, 10)
+        assert report.passed and calls == calls_expected
 
 
 class TestBundledLattices:

@@ -453,6 +453,26 @@ class TestRepQuery:
             assert [query.count(m) for m in order] == \
                 [coeffs[m] for m in order]
 
+    @pytest.mark.parametrize("form", [
+        QuadForm.diagonal((1, 2, 3, 10)),
+        QuadForm.block_diag([[2, 1], [1, 3]], [[2, -1], [-1, 4]]),
+        QuadForm.block_diag([[1, 1, 0], [1, 3, 1], [0, 1, 4]], 7),
+        QuadForm(((2, 1, 0), (1, 2, 1), (0, 1, 2))),
+    ], ids=["1+1+1+1", "2+2", "3+1", "one block"])
+    def test_repeated_queries_across_rebuilds(self, form):
+        """Asking one RepQuery for the same m again, before and after each
+        rebuild of its halves (64, 256, 1024, 4096, prec), gives
+        theta_coeffs every time."""
+        prec = 5000
+        coeffs = theta_coeffs(form, prec)
+        rising = [7, 7, 70, 7, 300, 70, 1100, 300, 4097, 7, 4097, 5000, 7]
+        rng = random.Random(11)
+        seeded = rng.choices(rising + rng.sample(range(prec + 1), 20), k=80)
+        for order in (rising, [7, 7, 5000, 7, 70, 300, 70, 4097, 7], seeded):
+            query = RepQuery(form, prec)
+            assert [query.count(m) for m in order] == \
+                [coeffs[m] for m in order]
+
     def test_halves_grow_4x_then_jump_to_prec(self):
         """Rising queries build halves of binary blocks at 64, 256, 1024,
         4096, then at prec, dropping the old halves before each sweep;
