@@ -107,10 +107,10 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
     # with no r(n^2) > 0 every expected value was 0: no counterexample
     ms_value = next((n for n in range(1, len(r_sq)) if r_sq[n]), None)
     if ms_value is None:
-        try:
-            ms_value = m_s(form, max(bound, 100))
-        except ValueError:
-            pass  # no represented square within the cap: ms unknown
+        # r_sq is 0 through the bound, so only bound < n <= 100 is left
+        # under m_s's default cap; None means ms is unknown
+        ms_value = next((n for n in range(bound + 1, 101)
+                         if represent_count(form, n * n)), None)
     return RegularityReport(form, bound, ms_value,
                             counterexample is None, counterexample)
 
@@ -215,14 +215,15 @@ def genus_pair_identity_check(which: str, n_max: int,
         qb = RepQuery(pair.mate, prec)
         qt = RepQuery(t, prec)
         qk = RepQuery(k, max(3 * n_max + 1, 4))
-        ok_a = ok_b = True
+        ok_a = ok_b = consequence = True
         for n in range(1, n_max + 1):
             aux = 4 * qt.count(9 * n * n)
-            ok_a = ok_a and qa.count(9 * n * n) == aux - 3 * qa.count(n * n)
-            ok_b = ok_b and qb.count(9 * n * n) == aux - 3 * qb.count(n * n)
+            ra, rb = qa.count(n * n), qb.count(n * n)
+            ok_a = ok_a and qa.count(9 * n * n) == aux - 3 * ra
+            ok_b = ok_b and qb.count(9 * n * n) == aux - 3 * rb
+            consequence = consequence and ra == rb
         unit = all(qa.count(m) == qb.count(m) == 2 * qk.count(m)
                    for m in range(1, 3 * n_max + 2, 3))
-        consequence = _range_equal(qa, qb, (n * n for n in range(1, n_max + 1)))
         return IdentityReport("1,1,3,5", (
             (f"r(9n^2) = 4 r(9n^2, aux) - 3 r(n^2), n<={n_max}", ok_a),
             (f"mate analogue, n<={n_max}", ok_b),

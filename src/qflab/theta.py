@@ -6,7 +6,11 @@ an integer square root and no boundary case is ever lost to rounding.
 It yields each feasible tail with the exact range of the first
 coordinate and the integer quadratic on it: `_theta_sweep` evaluates
 that range in numpy, `represent_count` tests its two ends and
-`short_vectors` lists its sign-canonical part.
+`short_vectors` lists its sign-canonical part.  Theta is an isometry
+invariant, so `_theta_sweep` walks a block of rank >= 3 on its reduced
+basis (`_reduced_blocks`, once per block) and multiplies the parts' sweeps
+where that basis splits: a skewed basis of a split lattice is never walked
+whole.  `represent_count` and `short_vectors` walk the basis they are given.
 
 `_theta_unary` is the one square-series kernel: the theta of <a>, or
 its twist by a Kronecker character and s^weight, which the q-series
@@ -102,8 +106,24 @@ def _theta_unary(a: int, prec: int, char: int = 1,
     return out
 
 
+@lru_cache(maxsize=256)
+def _reduced_blocks(form: QuadForm) -> tuple[QuadForm, ...]:
+    """The orthogonal blocks of a Minkowski-reduced basis of form."""
+    # imported here: reduction imports short_vectors from this module
+    from .reduction import minkowski_reduce
+    reduced, _ = minkowski_reduce(form)
+    return tuple(sub for _, sub in reduced.orthogonal_blocks())
+
+
 def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
-    """Counts of Q(v) = n for all n <= prec, one enumeration sweep."""
+    """Counts of Q(v) = n for all n <= prec.  A form of rank >= 3 is
+    swept on its reduced basis, as the _product of its blocks' sweeps
+    when that basis splits; a lower rank is one enumeration sweep."""
+    if form.rank >= 3:
+        parts = _reduced_blocks(form)
+        if len(parts) > 1:
+            return _product([_theta_sweep(sub, prec) for sub in parts], prec)
+        form = parts[0]
     a2 = form.hessian[0][0] // 2
     if form.rank == 1:
         return _theta_unary(a2, prec)
@@ -219,7 +239,8 @@ def _half(blocks: tuple[QuadForm, ...], n: int) -> np.ndarray:
 
 def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
     """Representation numbers r(0..n_max) in one enumeration sweep per
-    orthogonal block, blocks combined by exact convolution."""
+    orthogonal block, blocks combined by exact convolution; a block of
+    rank >= 3 is swept as the parts of its reduced basis."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     return _product([_theta_sweep(sub, n_max)
@@ -266,15 +287,16 @@ class RepQuery:
     half (as the diagonal search's do) sweep it once per precision; the
     build at prec is never memoised.  A single block (queried by array
     lookup) or a block of rank >= 3 (a walker step per tail) is built at
-    prec at once.  Only the build at prec asks `cache`, one lookup per
-    block.  A query is one float64 BLAS dot, exact in any summation
-    order: every build raises OverflowError unless max(a) max(b) (n + 1),
-    which bounds each term and partial sum, is below 2^53.  b is kept
-    reversed and contiguous, since a reversed view gets no BLAS and is
-    slower than an int64 dot.  No int64 dot is kept: that bound reaches
-    2^53 only for halves far larger than memory.  Answers are not
-    remembered: a query is recomputed each time, so a caller that reuses
-    a count keeps it.
+    prec at once.  Halves follow the form's own blocks, so a one-block
+    form stays one array, a lookup, even when its sweep splits.  Only
+    the build at prec asks `cache`, one lookup per block.  A query is
+    one float64 BLAS dot, exact in any summation order: every build
+    raises OverflowError unless max(a) max(b) (n + 1), which bounds each
+    term and partial sum, is below 2^53.  b is kept reversed and
+    contiguous, since a reversed view gets no BLAS and is slower than an
+    int64 dot.  No int64 dot is kept: that bound reaches 2^53 only for
+    halves far larger than memory.  Answers are not remembered: a query
+    is recomputed each time, so a caller that reuses a count keeps it.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):

@@ -7,5 +7,6 @@ from qflab import arith, forms, theta
 def cold_memos():
     """Start every test with empty module memos, so no test sees partial
     halves, block forms or factorizations that an earlier test left."""
-    for memo in (theta._half, forms._block_form, arith._factors):
+    for memo in (theta._half, theta._reduced_blocks, forms._block_form,
+                 arith._factors):
         memo.cache_clear()

@@ -11,7 +11,7 @@ from qflab.regularity import (check_indistinguishable,
                               is_strongly_s_regular, m_s,
                               genus_pair_identity_check,
                               theta_difference_vs_quotients)
-from qflab.theta import RepQuery
+from qflab.theta import RepQuery, represent_count
 from qflab.transforms import jordan_symbol_odd, lambda_transform
 
 # first witnesses found by the checker itself, frozen as golden values
@@ -92,6 +92,22 @@ class TestStronglySRegular:
         assert report.csv_row()[2] is None
         assert is_strongly_s_regular(form, 101).ms_value == 101
 
+    @pytest.mark.parametrize("bound, ms", [(20, None), (100, None), (101, 101)])
+    def test_ms_fallback_scans_only_past_the_bound(self, bound, ms):
+        """The fallback asks represent_count only for bound < n <= 100:
+        the check's own counts are 0 for every n <= bound."""
+        asked = []
+
+        def spy(form, m):
+            asked.append(m)
+            return represent_count(form, m)
+
+        with mock.patch("qflab.regularity.represent_count", spy):
+            report = is_strongly_s_regular(
+                QuadForm.diagonal((101, 101, 101, 101)), bound)
+        assert report.passed and report.ms_value == ms
+        assert asked == [n * n for n in range(bound + 1, 101)]
+
     def test_ms_found_past_the_bound(self):
         report = is_strongly_s_regular(QuadForm.diagonal((2, 9, 9, 27)), 2)
         assert report.passed and report.ms_value == 3
@@ -120,8 +136,9 @@ class TestCountsAskedOncePerUse:
 
     @pytest.mark.parametrize("which, calls_expected", [
         ("1,2,3,10", 80),  # 8 per n
-        # 5 per n, 3 per m = 3n + 1 for 0 <= n <= 10, 2 per n^2
-        ("1,1,3,5", 5 * 10 + 3 * 11 + 2 * 10),
+        # 5 per n, 3 per m = 3n + 1 for 0 <= n <= 10; the r(n^2)
+        # agreement reuses the loop's r_A(n^2) and r_B(n^2)
+        ("1,1,3,5", 5 * 10 + 3 * 11),
     ])
     def test_genus_pair_identities(self, which, calls_expected):
         report, calls = count_calls(genus_pair_identity_check, which, 10)

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflab import theta
+from qflab import reduction, theta
 from qflab._matrix import int_det
 from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.lattices import (CLASSIFICATION_TABLE, GENUS_PAIRS,
                             all_bundled_forms)
 from qflab.regularity import check_indistinguishable, is_strongly_s_regular
+from qflab.search import SearchConfig, search_diagonal
 from qflab.theta import (RepQuery, _convolve_trunc, _tails, _theta_unary,
                          represent_count, short_vectors, theta_coeffs)
-from reference import mul_trunc
+from reference import mul_trunc, tails_theta
 
 
 def box(form: QuadForm, n: int):
@@ -332,13 +333,131 @@ class TestWalkerAgainstFractionReference:
 
     @staticmethod
     def _check(rng, form, prec, cap):
-        assert theta_coeffs(form, prec) == fraction_theta(form, prec), \
-            form.hessian
+        expected = fraction_theta(form, prec)
+        assert theta_coeffs(form, prec) == expected, form.hessian
+        # the numpy leaf on the skewed basis itself, not a reduced one
+        with mock.patch.object(theta, "_reduced_blocks", lambda f: (f,)):
+            assert theta._theta_sweep(form, prec).tolist() == expected, \
+                form.hessian
         for n in (0, 1, prec, *rng.sample(range(prec + 1), 4)):
             assert represent_count(form, n) == fraction_count(form, n), \
                 (form.hessian, n)
         assert short_vectors(form, cap) == fraction_short_vectors(form, cap), \
             form.hessian
+
+
+A4 = QuadForm(((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 2)))
+BRIDGE_MATE_TERNARY = QuadForm(((12, 12, 20), (12, 42, 70), (20, 70, 150)))
+
+
+def with_unary(form: QuadForm, q: int) -> QuadForm:
+    """The orthogonal sum of form and <q>."""
+    k = form.rank
+    return QuadForm(tuple((*row, 0) for row in form.hessian)
+                    + ((0,) * k + (2 * q,),))
+
+
+def spy_reduce():
+    return mock.patch.object(reduction, "minkowski_reduce",
+                             wraps=reduction.minkowski_reduce)
+
+
+class TestReducedSweep:
+    """Blocks of rank >= 3 are swept on a Minkowski-reduced basis, as the
+    product of its blocks where that basis splits.  theta_coeffs and
+    every RepQuery count must equal a walk of the form's own basis
+    (reference.tails_theta), and the reduction runs only for blocks of
+    rank >= 3, once per distinct block."""
+
+    @staticmethod
+    def _check(form: QuadForm, prec: int):
+        expected = tails_theta(form, prec)
+        assert theta_coeffs(form, prec) == expected, form.hessian
+        query = RepQuery(form, prec)
+        assert [query.count(m) for m in range(prec + 1)] == expected, \
+            form.hessian
+
+    @pytest.mark.parametrize("name", sorted(all_bundled_forms()))
+    def test_nonsplit_conjugates_of_bundled_forms(self, name):
+        """A one-block conjugate of each bundled form splits again as the
+        form itself does."""
+        base = all_bundled_forms()[name]
+        form = one_block_conjugate(random.Random(name), base)
+        assert len(form.orthogonal_blocks()) == 1
+        assert len(theta._reduced_blocks(form)) == \
+            len(base.orthogonal_blocks())
+        self._check(form, 150)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_nondiagonal_forms(self, seed):
+        rng = random.Random(9300 + seed)
+        for k, prec in ((3, 300), (4, 80)):
+            self._check(random_definite(rng, k), prec)
+        # a skewed ternary beside a unary: two halves, the ternary reduced
+        ternary = random_definite(rng, 3)
+        self._check(with_unary(ternary, rng.randint(1, 9)), 150)
+
+    @pytest.mark.parametrize("base, prec", [(A4, 60),
+                                            (BRIDGE_MATE_TERNARY, 400)],
+                             ids=["A4", "bridge-mate ternary"])
+    def test_forms_that_stay_one_block(self, base, prec):
+        rng = random.Random(9400)
+        for form in (base, one_block_conjugate(rng, base),
+                     skewed_conjugate(rng, base)):
+            assert len(theta._reduced_blocks(form)) == 1
+            self._check(form, prec)
+
+    def test_no_reduction_for_split_forms(self):
+        """Diagonal and already split forms never reach minkowski_reduce:
+        their blocks have rank <= 2."""
+        with spy_reduce() as reduce:
+            for entry in CLASSIFICATION_TABLE:
+                is_strongly_s_regular(entry.form, 30)
+            result = search_diagonal(SearchConfig(15, 1))
+        assert result.survivors and not reduce.called
+
+    def test_reduction_once_per_distinct_block(self):
+        """Repeated sweeps, dense and through RepQuery, reduce each block
+        of rank >= 3 once: the conjugate, the ternary of a 3 + 1 form and
+        the ternary part that a reduced rank-4 block splits off."""
+        rng = random.Random(9500)
+        pair = GENUS_PAIRS["1,2,3,10"]
+        forms = [one_block_conjugate(rng, pair.mate),
+                 with_unary(skewed_conjugate(rng, BRIDGE_MATE_TERNARY), 7),
+                 A4]
+        with spy_reduce() as reduce:
+            for _ in range(3):
+                for form in forms:
+                    theta_coeffs(form, 40)
+                    RepQuery(form, 40).count(40)
+        reduced = [call.args[0] for call in reduce.call_args_list]
+        assert len(reduced) == len(set(reduced))
+        assert {blk for form in forms for _, blk in form.orthogonal_blocks()
+                if blk.rank >= 3} < set(reduced)
+
+    def test_one_block_failing_form_is_swept_split(self):
+        """A one-block conjugate of <1,2,3,3> fails as the diagonal form
+        does (n = 10, expected 210, actual 146), and the only rank-4 walks
+        are the reduction's short-vector pool, never a sweep to
+        bound^2."""
+        diagonal = QuadForm.diagonal((1, 2, 3, 3))
+        form = one_block_conjugate(random.Random(9600), diagonal)
+        walks = []
+        real = theta._tails
+
+        def spy(f, bound):
+            walks.append((f.rank, bound))
+            return real(f, bound)
+
+        with mock.patch.object(theta, "_tails", spy):
+            report = is_strongly_s_regular(form, 60).to_dict()
+        expected = is_strongly_s_regular(diagonal, 60).to_dict()
+        assert report.pop("form") != expected.pop("form")
+        assert report == expected
+        assert report["counterexample"] == {"n": 10, "expected": 210,
+                                            "actual": 146}
+        assert walks and all(bound <= max(form.diag_q)
+                             for rank, bound in walks if rank == 4)
 
 
 class TestTails:
@@ -476,7 +595,9 @@ class TestRepQuery:
     def test_halves_grow_4x_then_jump_to_prec(self):
         """Rising queries build halves of binary blocks at 64, 256, 1024,
         4096, then at prec, dropping the old halves before each sweep;
-        a form with a ternary block builds at prec at construction."""
+        a form with a ternary block builds at prec at construction (its
+        ternary splits into <1> + binary once reduced, so the sweeps are
+        the ternary's, its two parts' and <7>'s)."""
         prec = 20000
         sweep = theta._theta_sweep
         builds = []
@@ -498,8 +619,10 @@ class TestRepQuery:
         coeffs = theta_coeffs(form, 12)
         with mock.patch.object(theta, "_theta_sweep", recording_sweep):
             query = RepQuery(form, prec)
+            built = len(builds)
             assert query.count(12) == coeffs[12]
-        assert [n for n, _ in builds] == [prec, prec]
+        assert len(builds) == built == 4
+        assert [n for n, _ in builds] == [prec] * 4
 
     def test_cache_only_for_the_build_at_prec(self):
         calls = []
