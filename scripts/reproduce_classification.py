@@ -22,7 +22,10 @@ def main() -> int:
     args = parser.parse_args()
 
     from qflab.cache import make_cache
-    cache = make_cache(args.cache_dir)
+    try:
+        cache = make_cache(args.cache_dir)
+    except ValueError as exc:  # an empty --cache-dir
+        parser.error(str(exc))
 
     t0 = time.monotonic()
     table = run_table1(args.bound, cache=cache)

@@ -11,6 +11,11 @@ truncation.  Entries of another format count as misses and are rewritten;
 corrupted or unreadable ones are detected and recomputed.  A writer keeps
 an entry of at least its own precision that a concurrent writer stored
 while it computed.
+
+In process, cache_theta returns a read-only int64 array: a hit is a
+zero-copy view of the checksummed body just read, a miss the swept
+array.  form_hash is memoised per form (a bounded lru_cache), so the
+canonical form of each distinct form is computed once per process.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ import logging
 import os
 import tempfile
 import zlib
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .forms import QuadForm
 from .reduction import canonical_form
-from .theta import theta_coeffs
+from .theta import _theta_array
 
 log = logging.getLogger(__name__)
 
@@ -46,13 +52,18 @@ class _InvalidEntry(Exception):
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path | None:
-    """Explicit argument wins, then the QFLAB_CACHE environment variable."""
+    """Explicit argument wins, then the QFLAB_CACHE environment variable
+    (empty there: no cache).  An empty explicit argument raises ValueError,
+    since Path("") would be the current directory."""
     if explicit is not None:
+        if os.fspath(explicit) == "":
+            raise ValueError("cache directory must not be empty")
         return Path(explicit)
     env = os.environ.get(ENV_VAR)
     return Path(env) if env else None
 
 
+@lru_cache(maxsize=256)
 def form_hash(form: QuadForm) -> str:
     canonical = canonical_form(form)
     payload = json.dumps(canonical.hessian).encode()
@@ -92,11 +103,10 @@ def _stored_prec(path: Path, key: str) -> int:
         return -1
 
 
-def _write(path: Path, key: str, coeffs: list[int]) -> None:
-    """Store coeffs atomically, unless a concurrent writer has meanwhile
-    stored an entry of at least the same precision.  A coefficient outside
-    int64 raises OverflowError before any file is made."""
-    body = np.asarray(coeffs, dtype=_DTYPE).tobytes()
+def _write(path: Path, key: str, coeffs: np.ndarray) -> None:
+    """Store the int64 array coeffs atomically, unless a concurrent writer
+    has meanwhile stored an entry of at least the same precision."""
+    body = coeffs.astype(_DTYPE, copy=False).tobytes()
     prec = len(coeffs) - 1
     payload = json.dumps({
         "format": FORMAT,
@@ -120,26 +130,27 @@ def _write(path: Path, key: str, coeffs: list[int]) -> None:
 
 
 def cache_theta(form: QuadForm, prec: int,
-                cache_dir: str | os.PathLike | None = None) -> list[int]:
-    """Theta coefficients through prec, loaded from or stored to the cache
-    directory (no directory resolved: plain recomputation)."""
+                cache_dir: str | os.PathLike | None = None) -> np.ndarray:
+    """Theta coefficients r(0..prec) as a read-only int64 array, loaded
+    from or stored to the cache directory (no directory resolved: plain
+    recomputation)."""
     if prec < 0:
         raise ValueError("prec must be nonnegative")
     directory = resolve_cache_dir(cache_dir)
     if directory is None:
-        return theta_coeffs(form, prec)
+        return _theta_array(form, prec)
     directory.mkdir(parents=True, exist_ok=True)
     key = form_hash(form)
     path = directory / f"theta-{key}.json"
     try:
         stored = _read(path, key)
         if len(stored) > prec:
-            return stored[:prec + 1].tolist()
+            return stored[:prec + 1]
     except FileNotFoundError:
         pass
     except _InvalidEntry as exc:
         log.log(exc.level, "theta cache entry %s %s; recomputing", path.name, exc)
-    coeffs = theta_coeffs(form, prec)
+    coeffs = _theta_array(form, prec)
     _write(path, key, coeffs)
     return coeffs
 
@@ -151,7 +162,7 @@ def make_cache(cache_dir: str | os.PathLike | None):
     if directory is None:
         return None
 
-    def lookup(form: QuadForm, prec: int) -> list[int]:
+    def lookup(form: QuadForm, prec: int) -> np.ndarray:
         return cache_theta(form, prec, directory)
 
     return lookup

@@ -129,7 +129,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "theta":
         form = parse_form(args.form)
-        coeffs = cache_theta(form, args.prec, args.cache_dir)
+        coeffs = cache_theta(form, args.prec, args.cache_dir).tolist()
         if args.out == "json":
             print(json.dumps({"D": 1, "prec": args.prec, "coeffs": coeffs}))
         elif args.out == "csv":

@@ -237,14 +237,21 @@ def _half(blocks: tuple[QuadForm, ...], n: int) -> np.ndarray:
     return arr
 
 
-def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
-    """Representation numbers r(0..n_max) in one enumeration sweep per
-    orthogonal block, blocks combined by exact convolution; a block of
-    rank >= 3 is swept as the parts of its reduced basis."""
+def _theta_array(form: QuadForm, n_max: int) -> np.ndarray:
+    """r(0..n_max) as a read-only int64 array, in one enumeration sweep
+    per orthogonal block, blocks combined by exact convolution; a block
+    of rank >= 3 is swept as the parts of its reduced basis."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return _product([_theta_sweep(sub, n_max)
-                     for _, sub in form.orthogonal_blocks()], n_max).tolist()
+    arr = _product([_theta_sweep(sub, n_max)
+                    for _, sub in form.orthogonal_blocks()], n_max)
+    arr.flags.writeable = False
+    return arr
+
+
+def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
+    """Representation numbers r(0..n_max), as Python ints."""
+    return _theta_array(form, n_max).tolist()
 
 
 def represent_count(form: QuadForm, n: int) -> int:

@@ -129,6 +129,21 @@ class TestCli:
             assert err.startswith("error:") and err.count("\n") == 1
             assert str(cache_dir) in err and reason in err
 
+    @pytest.mark.parametrize("argv", [
+        ("theta", "--form", "1,1", "--prec", "4"),
+        ("sreg", "--form", "1,2,3,10", "--bound", "5"),
+        ("verify", "table1", "--bound", "50"),
+    ], ids=["theta", "sreg", "verify"])
+    def test_empty_cache_dir_is_a_usage_error(self, capsys, tmp_path,
+                                              monkeypatch, argv):
+        """An empty --cache-dir exits 2 with one error line and writes no
+        entry into the current directory."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", "")
+        assert code == 2 and out == ""
+        assert err == "error: cache directory must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_lambda(self, capsys):
         code, out, _ = run_cli(capsys, "lambda", "--form", "1,3,3,9",
                                "--n", "3")

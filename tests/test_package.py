@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,11 +57,28 @@ def test_quotient_report_script():
     assert agree == ["  closed lattice sums agree to 60: True"] * 3
 
 
-def test_reproduce_classification_script():
+def test_reproduce_classification_script(tmp_path):
+    """The script prints the same, timings aside, with no cache and with a
+    cold and then a warm cache directory, which it fills."""
     # a search this small cannot reproduce the whole table, so it prints
     # "classification reproduced: False" and exits 1 by design
-    done = run_script("scripts/reproduce_classification.py", "--bound", "50",
-                      "--cmax", "12", "--search-bound", "20")
-    assert done.returncode in (0, 1), done.stderr
+    argv = ("scripts/reproduce_classification.py", "--bound", "50",
+            "--cmax", "12", "--search-bound", "20")
+    outputs = []
+    for extra in ((), ("--cache-dir", str(tmp_path)),
+                  ("--cache-dir", str(tmp_path))):
+        done = run_script(*argv, *extra)
+        assert done.returncode in (0, 1), done.stderr
+        assert "Traceback" not in done.stderr
+        assert "classification reproduced:" in done.stdout
+        outputs.append(re.sub(r" \[\d+\.\ds\]", "", done.stdout))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert list(tmp_path.glob("theta-*.json"))
+
+
+def test_reproduce_classification_script_refuses_empty_cache_dir():
+    done = run_script("scripts/reproduce_classification.py",
+                      "--cache-dir", "")
+    assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
-    assert "classification reproduced:" in done.stdout
+    assert "cache directory must not be empty" in done.stderr
