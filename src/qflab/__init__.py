@@ -2,11 +2,10 @@
 forms: lattice-point counting, Watson-type transforms, eta quotients and
 the strong square-regularity property."""
 
-from .arith import (Factorization, SquareSplit, factorize, h_factor,
-                    kronecker, local_density_good, square_split, valuation)
+from .arith import (SquareSplit, factorize, h_factor, kronecker,
+                    local_density_good, square_split, valuation)
 from .cache import cache_theta, make_cache, resolve_cache_dir
-from .forms import (CongruenceSystem, QuadForm, congruence_sublattice,
-                    parse_form)
+from .forms import QuadForm, congruence_sublattice, parse_form
 from .lattices import (GENUS_PAIRS, CLASSIFICATION_TABLE, GenusPair, ClassificationEntry,
                        all_bundled_forms, classification_passing)
 from .qseries import (EtaQuotient, LEVEL120_QUOTIENTS, QSeries, cusp_orders,
@@ -28,7 +27,7 @@ from .verify import run_lemma54, run_props, run_table1
 __version__ = "0.1.0"
 
 __all__ = [
-    "CongruenceSystem", "EtaQuotient", "Factorization", "GENUS_PAIRS",
+    "EtaQuotient", "GENUS_PAIRS",
     "GenusPair", "JordanSymbolOdd", "LEVEL120_QUOTIENTS", "QSeries",
     "QuadForm", "RegularityReport", "RepQuery", "SearchConfig",
     "SearchFilters", "SquareSplit", "CLASSIFICATION_TABLE", "ClassificationEntry",

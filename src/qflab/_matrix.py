@@ -2,32 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
-
 Matrix = list[list[int]]
-
-
-def int_det(m) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for j in range(i + 1, n):
-                if a[j][i] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-        prev = a[i][i]
-    return sign * a[-1][-1]
 
 
 def mat_mul(a, b) -> Matrix:
@@ -130,16 +105,12 @@ def hnf_basis(vectors) -> Matrix:
 def extends_to_basis(vectors, dim: int) -> bool:
     """True if the set of integer vectors spans a primitive sublattice,
     i.e. can be completed to a basis of Z^dim."""
-    j = len(vectors)
-    if j == 0:
+    if not vectors:
         return True
-    minors = []
-    for rows in combinations(range(dim), j):
-        sub = [[vectors[c][r] for c in range(j)] for r in rows]
-        minors.append(int_det(sub))
-    g = 0
-    for d in minors:
-        g = gcd(g, d)
-        if g == 1:
-            return True
-    return g == 1
+    if len(vectors) > dim:
+        return False
+    # unimodular column operations keep the gcd of the maximal minors,
+    # which for the echelon is the product of its pivots; a dependent
+    # vector leaves a 0 pivot
+    ech, _ = column_echelon(vectors)
+    return all(abs(ech[i][i]) == 1 for i in range(len(vectors)))

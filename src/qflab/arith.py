@@ -57,16 +57,9 @@ def valuation(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of a positive integer, primes ascending."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of a positive integer, primes
+    ascending, by trial division."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     m = n
@@ -82,7 +75,7 @@ def factorize(n: int) -> Factorization:
         d += 1 if d == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,7 @@ class SquareSplit:
 def _factors(n: int) -> tuple[tuple[int, int], ...]:
     # the n <= bound of a search or a verify suite repeat from check to
     # check, while each check brings its own modulus
-    return factorize(n).factors
+    return factorize(n)
 
 
 def square_split(n: int, two_dl: int) -> SquareSplit:

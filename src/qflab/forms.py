@@ -136,8 +136,9 @@ class QuadForm:
             raise ValueError(f"{e} does not divide the norm ideal")
         return QuadForm(tuple(tuple(x // e for x in row) for row in self.hessian))
 
-    def orthogonal_blocks(self) -> list[tuple[tuple[int, ...], "QuadForm"]]:
-        """Split into orthogonal components: list of (indices, subform)."""
+    def orthogonal_blocks(self) -> list["QuadForm"]:
+        """Split into orthogonal components, in order of their first
+        basis index."""
         k = self.rank
         seen = [False] * k
         blocks = []
@@ -155,7 +156,7 @@ class QuadForm:
                         frontier.append(j)
             idx = tuple(sorted(comp))
             sub = tuple(tuple(self.hessian[i][j] for j in idx) for i in idx)
-            blocks.append((idx, _block_form(sub)))
+            blocks.append(_block_form(sub))
         return blocks
 
     # -- serialization ---------------------------------------------------
@@ -189,10 +190,13 @@ def parse_form(text: str) -> QuadForm:
             raise ValueError('form literal has no "hessian" entry')
         form = QuadForm(data["hessian"])
         # JSON true and false would pass QuadForm's integer check as 1 and 0
-        if any(isinstance(x, bool)
-               for x in [data.get("rank"), *sum(data["hessian"], [])]):
+        if any(isinstance(x, bool) for x in sum(data["hessian"], [])):
             raise ValueError("form literal entries must be integers")
-        if "rank" in data and data["rank"] != form.rank:
+        rank = data.get("rank", form.rank)
+        # a JSON 2.0 or true compares equal to the integer rank
+        if type(rank) is not int:
+            raise ValueError("rank field must be an integer")
+        if rank != form.rank:
             raise ValueError("rank field disagrees with hessian size")
         return form
     try:
@@ -202,40 +206,20 @@ def parse_form(text: str) -> QuadForm:
     return QuadForm.diagonal(values)
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """Conditions w . x = 0 (mod modulus) cutting out a finite-index
-    sublattice of the coordinate lattice."""
-
-    modulus: int
-    relations: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        reduced = tuple(tuple(int(x) % self.modulus for x in row)
-                        for row in self.relations)
-        object.__setattr__(self, "relations", reduced)
-
-
-def _kernel_mod_sublattice(form: QuadForm, relations, modulus: int) -> QuadForm:
-    """The form on a Hermite normal form basis of
-    {x : relations . x = 0 (mod modulus)}."""
-    k = form.rank
+def congruence_sublattice(form: QuadForm, relations, modulus: int) -> QuadForm:
+    """The form on a Hermite normal form basis of the sublattice
+    {x : w . x = 0 (mod modulus) for each relation w}.  The result may be
+    non-normalized."""
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
     rels = [row for row in relations if any(c % modulus for c in row)]
+    if any(len(row) != form.rank for row in rels):
+        raise ValueError("relation length must equal the rank")
     if not rels:
         return form
     r = len(rels)
     # solutions of W x = m y, as projections of an integer kernel
     stacked = [list(rels[i]) + [-modulus if j == i else 0 for j in range(r)]
                for i in range(r)]
-    basis = hnf_basis([vec[:k] for vec in integer_kernel(stacked)])
+    basis = hnf_basis([vec[:form.rank] for vec in integer_kernel(stacked)])
     return QuadForm(tuple(tuple(x) for x in conjugate(form.hessian, basis)))
-
-
-def congruence_sublattice(form: QuadForm, system: CongruenceSystem) -> QuadForm:
-    """Gram matrix of {x : all relations hold}, on a Hermite normal form
-    basis of the solution lattice.  The result may be non-normalized."""
-    if any(len(row) != form.rank for row in system.relations if any(row)):
-        raise ValueError("relation length must equal the rank")
-    return _kernel_mod_sublattice(form, system.relations, system.modulus)

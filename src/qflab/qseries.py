@@ -226,19 +226,19 @@ def sturm_bound(level: int, weight: int) -> int:
     if level < 1 or weight < 1:
         raise ValueError("level and weight must be positive")
     index = level
-    for p, _ in factorize(level).factors:
+    for p, _ in factorize(level):
         index = index // p * (p + 1)
     return -(-weight * index // 12)
 
 
 # -- classical single-variable expansions -------------------------------
 
-def divisor_character_sum(n: int, char_bottom: int = 3) -> int:
-    """sum over d | n of kronecker(d, char_bottom)."""
+def divisor_character_sum(n: int) -> int:
+    """sum over d | n of kronecker(d, 3)."""
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += kronecker(d, char_bottom)
+            total += kronecker(d, 3)
     return total
 
 

@@ -119,27 +119,21 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
 class PairCheck:
     name: str
     bound: int
-    restricted: bool
     passed: bool
     counterexample: tuple[int, int, int] | None
 
 
-def check_indistinguishable(pair: GenusPair, bound: int,
-                            restricted: bool = False) -> PairCheck:
-    """r(n^2) agreement between the two classes; restricted mode only
-    tests n supported on primes of the discriminant."""
+def check_indistinguishable(pair: GenusPair, bound: int) -> PairCheck:
+    """r(n^2) agreement between the two classes for n <= bound."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    d_l = pair.primary.discriminant
     qa = RepQuery(pair.primary, bound * bound)
     qb = RepQuery(pair.mate, bound * bound)
     for n in range(1, bound + 1):
-        if restricted and square_split(n, d_l).n2 != 1:
-            continue
         a, b = qa.count(n * n), qb.count(n * n)
         if a != b:
-            return PairCheck(pair.name, bound, restricted, False, (n, a, b))
-    return PairCheck(pair.name, bound, restricted, True, None)
+            return PairCheck(pair.name, bound, False, (n, a, b))
+    return PairCheck(pair.name, bound, True, None)
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def _reduced_blocks(form: QuadForm) -> tuple[QuadForm, ...]:
     # imported here: reduction imports short_vectors from this module
     from .reduction import minkowski_reduce
     reduced, _ = minkowski_reduce(form)
-    return tuple(sub for _, sub in reduced.orthogonal_blocks())
+    return tuple(reduced.orthogonal_blocks())
 
 
 def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
@@ -244,7 +244,7 @@ def _theta_array(form: QuadForm, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     arr = _product([_theta_sweep(sub, n_max)
-                    for _, sub in form.orthogonal_blocks()], n_max)
+                    for sub in form.orthogonal_blocks()], n_max)
     arr.flags.writeable = False
     return arr
 
@@ -308,7 +308,7 @@ class RepQuery:
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
         self.prec = prec
-        blocks = [sub for _, sub in form.orthogonal_blocks()]
+        blocks = form.orthogonal_blocks()
         blocks.sort(key=lambda b: b.rank, reverse=True)
         halves = [[blocks[0]], []]
         for blk in blocks[1:]:

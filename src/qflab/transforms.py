@@ -6,17 +6,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, kronecker, valuation
-from .forms import (CongruenceSystem, QuadForm, _kernel_mod_sublattice,
-                    congruence_sublattice)
+from .forms import QuadForm, congruence_sublattice
 
 
 def watson_sublattice(form: QuadForm, p: int) -> QuadForm:
     """Unscaled transform: the sublattice of vectors x with H x = 0 (mod p),
     together with Q(x) even when p = 2."""
-    sub = _kernel_mod_sublattice(form, form.hessian, p)
+    sub = congruence_sublattice(form, form.hessian, p)
     if p == 2:
         # Q is linear modulo 2 on the kernel, so one more congruence cut
-        sub = _kernel_mod_sublattice(sub, [[q % 2 for q in sub.diag_q]], 2)
+        sub = congruence_sublattice(sub, [[q % 2 for q in sub.diag_q]], 2)
     return sub
 
 
@@ -33,7 +32,7 @@ def lambda_composite(form: QuadForm, n: int) -> QuadForm:
     if n < 1:
         raise ValueError("n must be positive")
     out = form
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         for _ in range(e):
             out = lambda_transform(out, p)
     return out
@@ -76,7 +75,7 @@ def _unit_class(f: Fraction, p: int) -> int:
 
 
 def _require_odd_prime(p: int) -> None:
-    if p < 3 or factorize(p).factors != ((p, 1),):
+    if p < 3 or factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not an odd prime")
 
 
@@ -168,6 +167,5 @@ def gamma_sublattices(form: QuadForm, p: int) -> tuple[QuadForm, QuadForm]:
     if len(hits) != 2:
         raise RuntimeError(
             f"expected 2 norm-p sublattices, found {len(hits)}")
-    pair = [congruence_sublattice(form, CongruenceSystem(p, (f,)))
-            for f in sorted(hits)]
+    pair = [congruence_sublattice(form, [f], p) for f in sorted(hits)]
     return pair[0], pair[1]

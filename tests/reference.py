@@ -1,6 +1,40 @@
 """Slow exact references that the fast int64 kernels are checked against."""
 
+from itertools import combinations
+from math import gcd
+
 from qflab.theta import _tails
+
+
+def int_det(m) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    a = [[int(x) for x in row] for row in m]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for j in range(i + 1, n):
+                if a[j][i] != 0:
+                    a[i], a[j] = a[j], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+        prev = a[i][i]
+    return sign * a[-1][-1]
+
+
+def spans_primitive(vectors, dim: int) -> bool:
+    """The definition: the vectors extend to a basis of Z^dim exactly when
+    the gcd of their maximal minors is 1."""
+    g = 0
+    for rows in combinations(range(dim), len(vectors)):
+        g = gcd(g, int_det([[v[r] for v in vectors] for r in rows]))
+    return g == 1
 
 
 def mul_trunc(a, b, n: int) -> list[int]:

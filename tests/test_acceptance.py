@@ -168,7 +168,7 @@ def test_criterion_6e_kronecker_oracle_sweep():
         for a in range(1, p):
             row[a] = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
         rows[p] = row
-    facts = {n: factorize(n).factors for n in range(1, 2001)}
+    facts = {n: factorize(n) for n in range(1, 2001)}
 
     def oracle(a, n):
         if n == 0:

@@ -61,12 +61,13 @@ class TestCli:
         '{"hessian": [1, 2]}',
         '{"hessian": [[2,true,0,0],[true,2,0,0],[0,0,2,0],[0,0,0,2]]}',
         '{"rank": true, "hessian": [[2]]}',
+        '{"rank": 2.0, "hessian": [[2,1],[1,2]]}',
     ])
     def test_malformed_form_literal_is_a_usage_error(self, capsys, literal):
         code, out, err = run_cli(capsys, "sreg", "--form", literal,
                                  "--bound", "30")
         assert code == 2 and out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_capacity_error_has_its_own_exit_code(self, capsys, monkeypatch):
         def overflow(args):

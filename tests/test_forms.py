@@ -4,8 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from qflab.forms import (CongruenceSystem, QuadForm, congruence_sublattice,
-                         parse_form)
+from qflab.forms import QuadForm, congruence_sublattice, parse_form
 from qflab.reduction import is_isometric
 
 
@@ -92,12 +91,13 @@ class TestQuadForm:
 
     def test_orthogonal_blocks(self):
         f = QuadForm.block_diag(3, [[6, 3], [3, 9]], 9)
-        blocks = f.orthogonal_blocks()
-        assert [idx for idx, _ in blocks] == [(0,), (1, 2), (3,)]
+        assert f.orthogonal_blocks() == [
+            QuadForm.from_gram([[3]]), QuadForm.from_gram([[6, 3], [3, 9]]),
+            QuadForm.from_gram([[9]])]
         # a block structure hidden by interleaving
         g = QuadForm.from_gram([[3, 0, 5], [0, 10, 0], [5, 0, 25]])
-        idx = [i for i, _ in g.orthogonal_blocks()]
-        assert idx == [(0, 2), (1,)]
+        assert g.orthogonal_blocks() == [
+            QuadForm.from_gram([[3, 5], [5, 25]]), QuadForm.from_gram([[10]])]
 
     def test_parse_roundtrip(self):
         f = parse_form("1,2,3,10")
@@ -110,13 +110,15 @@ class TestQuadForm:
             parse_form("1,2,x")
         with pytest.raises(ValueError):
             parse_form(json.dumps({"rank": 3, "hessian": [[2, 0], [0, 2]]}))
+        for rank in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="rank field"):
+                parse_form(json.dumps({"rank": rank, "hessian": [[2, 1], [1, 2]]}))
 
 
 class TestCongruenceSublattice:
     def test_parity_sublattice_of_1_2_6_16(self):
         base = QuadForm.diagonal((1, 2, 6, 16))
-        system = CongruenceSystem(2, ((1, 0, 0, 0), (0, 1, -1, 0)))
-        sub = congruence_sublattice(base, system)
+        sub = congruence_sublattice(base, [(1, 0, 0, 0), (0, 1, -1, 0)], 2)
         expected = QuadForm.block_diag(4, [[8, 4], [4, 8]], 16)
         assert sub.discriminant == expected.discriminant
         assert is_isometric(sub, expected)
@@ -124,14 +126,14 @@ class TestCongruenceSublattice:
 
     def test_empty_system_is_identity(self):
         base = QuadForm.diagonal((1, 1, 3, 5))
-        assert congruence_sublattice(base, CongruenceSystem(2, ())) == base
-        zero_rows = CongruenceSystem(2, ((0, 0, 0, 0),))
-        assert congruence_sublattice(base, zero_rows) == base
+        assert congruence_sublattice(base, [], 2) == base
+        assert congruence_sublattice(base, [(0, 0, 0, 0)], 2) == base
+        # a relation that vanishes mod the modulus cuts nothing
+        assert congruence_sublattice(base, [(2, 0, 4, 0)], 2) == base
 
     def test_mod3_sublattice_of_1_1_3_5(self):
         base = QuadForm.diagonal((1, 1, 3, 5))
-        system = CongruenceSystem(3, ((1, 0, 0, 0), (0, 1, 0, 0)))
-        sub = congruence_sublattice(base, system)
+        sub = congruence_sublattice(base, [(1, 0, 0, 0), (0, 1, 0, 0)], 3)
         assert is_isometric(sub, QuadForm.diagonal((3, 5, 9, 9)))
         assert sub.discriminant == 9**2 * base.discriminant
 
@@ -143,12 +145,13 @@ class TestCongruenceSublattice:
             (3, ((1, 0, 2, 0), (0, 1, 1, 1)), 9),
             (5, ((1, 2, 3, 4),), 5),
         ]:
-            sub = congruence_sublattice(base, CongruenceSystem(modulus, rels))
+            sub = congruence_sublattice(base, rels, modulus)
             assert sub.discriminant == index**2 * base.discriminant
 
     def test_modulus_validation(self):
-        with pytest.raises(ValueError):
-            CongruenceSystem(1, ((1, 0),))
         base = QuadForm.diagonal((1, 2))
-        with pytest.raises(ValueError):
-            congruence_sublattice(base, CongruenceSystem(2, ((1, 0, 0),)))
+        for modulus in (1, 0, -3):
+            with pytest.raises(ValueError, match="modulus"):
+                congruence_sublattice(base, [(1, 0)], modulus)
+        with pytest.raises(ValueError, match="relation length"):
+            congruence_sublattice(base, [(1, 0, 0)], 2)

@@ -1,10 +1,35 @@
 import random
 
-from qflab._matrix import conjugate
+from qflab._matrix import conjugate, extends_to_basis
 from qflab.forms import QuadForm
 from qflab.reduction import canonical_form, is_isometric, minkowski_reduce
 
+from reference import spans_primitive
 from test_theta import conjugated, random_unimodular
+
+
+class TestExtendsToBasis:
+    def test_examples(self):
+        assert extends_to_basis([], 3)
+        assert extends_to_basis([[1, 2, 3]], 3)
+        assert not extends_to_basis([[2, 4, 6]], 3)
+        assert extends_to_basis([[1, 0, 0], [0, 1, 0]], 3)
+        assert not extends_to_basis([[1, 1, 0], [1, -1, 0]], 3)
+        assert not extends_to_basis([[1, 0], [0, 1], [1, 1]], 2)
+
+    def test_matches_gcd_of_maximal_minors(self):
+        rng = random.Random(16)
+        for _ in range(3000):
+            dim = rng.randint(1, 4)
+            vectors = [[rng.randint(-3, 3) for _ in range(dim)]
+                       for _ in range(rng.randint(1, dim + 1))]
+            if rng.random() < 0.3:
+                # a dependent set: one vector an integer combination of others
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                u, v = rng.choice(vectors), rng.choice(vectors)
+                vectors.append([a * x + b * y for x, y in zip(u, v)])
+                rng.shuffle(vectors)
+            assert extends_to_basis(vectors, dim) == spans_primitive(vectors, dim), vectors
 
 
 class TestMinkowskiReduce:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflab import reduction, theta
-from qflab._matrix import int_det
 from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.lattices import (CLASSIFICATION_TABLE, GENUS_PAIRS,
@@ -19,7 +18,7 @@ from qflab.regularity import check_indistinguishable, is_strongly_s_regular
 from qflab.search import SearchConfig, search_diagonal
 from qflab.theta import (RepQuery, _convolve_trunc, _tails, _theta_unary,
                          represent_count, short_vectors, theta_coeffs)
-from reference import mul_trunc, tails_theta
+from reference import int_det, mul_trunc, tails_theta
 
 
 def box(form: QuadForm, n: int):
@@ -432,7 +431,7 @@ class TestReducedSweep:
                     RepQuery(form, 40).count(40)
         reduced = [call.args[0] for call in reduce.call_args_list]
         assert len(reduced) == len(set(reduced))
-        assert {blk for form in forms for _, blk in form.orthogonal_blocks()
+        assert {blk for form in forms for blk in form.orthogonal_blocks()
                 if blk.rank >= 3} < set(reduced)
 
     def test_one_block_failing_form_is_swept_split(self):
@@ -792,7 +791,7 @@ class TestHalfMemo:
             runs.append((seen[:], 3600, pair.primary, pair.mate))
         for keys, prec, *checked in runs:
             assert keys
-            blocks = {sub for f in checked for _, sub in f.orthogonal_blocks()}
+            blocks = {sub for f in checked for sub in f.orthogonal_blocks()}
             for half, n in keys:
                 assert n < prec
                 assert set(half) <= blocks
