@@ -169,6 +169,8 @@ def _dispatch(args) -> int:
 
     if args.command == "eta":
         quotient = EtaQuotient.parse(args.quotient, args.level)
+        if sum(delta * r for delta, r in quotient.exponents) < 0:
+            raise ValueError("negative leading exponent: no printable expansion")
         series = eta_quotient_expansion(quotient, args.prec)
         newman = newman_check(quotient)
         cusps = cusp_orders(quotient)

@@ -5,11 +5,12 @@ holds the coefficient of q^(j/D).  Eta factors live at D = 24 (for the
 q^(1/24) prefactor); theta series and integral-weight quotients at
 D = 1.  All coefficients are exact Python integers.
 
-Every eta product is expanded by one kernel, `_eta_product`, in place
-over the sparse pentagonal terms of Euler's product.  The closed forms
-it is checked against (the classical unary identities and the
-level-120 quotient coefficients) are `_product`s of theta.py's twisted
-unary thetas `_theta_unary`, so the two sides share no kernel.
+Every eta product is expanded by one kernel, `_eta_product`: numpy
+passes over the sparse pentagonal terms of Euler's product, in int64
+until a bound says a value could leave it, then in Python ints.  The
+closed forms it is checked against (the classical unary identities and
+the level-120 quotient coefficients) are `_product`s of theta.py's
+twisted unary thetas `_theta_unary`, so the two sides share no kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -58,43 +60,61 @@ class QSeries:
         return json.dumps({"D": self.grading, "prec": self.prec, "coeffs": coeffs})
 
 
+_BLOCK = 64  # entries a dividing pass solves at once
+
+
+@lru_cache(maxsize=256)
+def _factor(delta: int, n: int):
+    """(g, s_g) of prod_{m>=1} (1 - q^(delta m)) = 1 + sum_g s_g q^g to q^n,
+    g ascending, as pairs and as arrays; and a dividing pass's block inverse
+    (p(k) at q^(delta k)) and growth (terms + 1) * sum |inverse|."""
+    pairs = [(g, -1 if k % 2 else 1) for k in range(1, isqrt(n // delta) + 1)
+             for g in (delta * k * (3 * k - 1) // 2, delta * k * (3 * k + 1) // 2)
+             if g <= n]
+    inv = [1]
+    for j in range(1, min(n + 1, _BLOCK)):
+        inv.append(-sum(s * inv[j - g] for g, s in pairs if g <= j))
+    g, s = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return pairs, g, s, np.array(inv), (len(pairs) + 1) * sum(inv)
+
+
+def _widen(*arrays):
+    return [a.astype(object) for a in arrays]
+
+
 def _eta_product(exponents, n: int) -> list[int]:
     """prod over (delta, r) of prod_{m>=1} (1 - q^(delta m))^r through
     q^n, in exact Python ints; n < 0 (a precision below the leading
     exponent of the caller's quotient) is refused.
 
-    By Euler's pentagonal number theorem prod (1 - q^(delta m)) is
-    1 + sum_k (-1)^k (q^(delta k(3k-1)/2) + q^(delta k(3k+1)/2)), about
-    2 sqrt(2n / 3 delta) terms through q^n.  Each factor costs |r|
-    in-place passes over them: a multiplying pass runs j downward, so
-    every out[j - g] it reads is still old, and a dividing pass runs j
-    upward, so every out[j - g] it reads is already divided.
-    """
+    Factors with r > 0 go first, to keep intermediates small.  Each makes
+    |r| numpy passes over its _factor's terms g: one adds the array shifted
+    by each g; one divides in blocks, a gather from below each convolved
+    with the block inverse.  A pass or block whose bound max |value| *
+    growth reaches 2^62 first widens the arrays to Python ints."""
     if n < 0:
         raise ValueError("precision below the leading exponent")
-    out = [1] + [0] * n
-    for delta, r in exponents:
-        plus, minus = [], []  # the g of each sign, ascending
-        k = 1
-        while delta * k * (3 * k - 1) // 2 <= n:
-            (minus if k % 2 else plus).extend(
-                g for g in (delta * k * (3 * k - 1) // 2,
-                            delta * k * (3 * k + 1) // 2) if g <= n)
-            k += 1
-        order = range(n, 0, -1) if r > 0 else range(1, n + 1)
+    buf = np.zeros(2 * n + 1, dtype=np.int64)  # entry j at n + j, 0 below
+    buf[n] = 1
+    for delta, r in sorted(exponents, key=lambda factor: factor[1] < 0):
+        pairs, gs, signs, inv, grow = _factor(delta, n)
         for _ in range(abs(r)):
-            for j in order:
-                acc = 0
-                for g in plus:
-                    if g > j:
-                        break
-                    acc += out[j - g]
-                for g in minus:
-                    if g > j:
-                        break
-                    acc -= out[j - g]
-                out[j] += acc if r > 0 else -acc
-    return out
+            top = int(abs(buf).max())
+            if r > 0:
+                if buf.dtype != object and top * (len(pairs) + 1) >= 2 ** 62:
+                    buf, = _widen(buf)
+                buf[n:] += sum(s * buf[n - g:2 * n + 1 - g] for g, s in pairs)
+                continue
+            old, buf = buf, np.zeros_like(buf)
+            for b in range(n, 2 * n + 1, _BLOCK):
+                if buf.dtype != object and top * grow >= 2 ** 62:
+                    old, buf = _widen(old, buf)
+                rhs = old[b:b + _BLOCK]
+                if b > n:  # the block's own entries in buf are still 0
+                    rhs = rhs - buf[b - gs + np.arange(len(rhs))[:, None]] @ signs
+                buf[b:b + len(rhs)] = block = np.convolve(rhs, inv)[:len(rhs)]
+                top = max(top, int(abs(block).max()))
+    return buf[n:].tolist()
 
 
 def _series24(exponents, top: int) -> QSeries:
@@ -142,21 +162,17 @@ class EtaQuotient:
     def weight(self) -> Fraction:
         return Fraction(sum(r for _, r in self.exponents), 2)
 
-    @property
-    def character_scale(self) -> int:
-        """s = prod delta^|r_delta| (character is ((-1)^k s | .))."""
-        s = 1
-        for delta, r in self.exponents:
-            s *= delta ** abs(r)
-        return s
-
     @classmethod
     def parse(cls, text: str, level: int) -> "EtaQuotient":
         """Parse the CLI string form "delta:r,delta:r,..."."""
         pairs = []
         for chunk in text.split(","):
-            delta, _, r = chunk.partition(":")
-            pairs.append((int(delta), int(r)))
+            try:
+                delta, r = chunk.split(":")
+                pairs.append((int(delta), int(r)))
+            except ValueError:
+                raise ValueError(f"malformed exponent {chunk!r}: expected "
+                                 "delta:r, such as 15:3 or 1:-1") from None
         return cls(level, tuple(pairs))
 
 
@@ -190,9 +206,9 @@ def newman_check(eq: EtaQuotient) -> NewmanReport:
     b = sum((eq.level // delta) * r for delta, r in eq.exponents)
     k = eq.weight
     sign = -1 if (k.denominator == 1 and k.numerator % 2) else 1
-    return NewmanReport(
+    return NewmanReport(  # the character is ((-1)^k s | .), s = prod delta^|r|
         weight=k,
-        character_discriminant=sign * eq.character_scale,
+        character_discriminant=sign * prod(d ** abs(r) for d, r in eq.exponents),
         cond24a=a % 24 == 0,
         cond24b=b % 24 == 0,
     )
@@ -301,13 +317,6 @@ LEVEL120_QUOTIENTS: dict[int, EtaQuotient] = {
 }
 
 
-def _exact_div(value: int, divisor: int) -> int:
-    if value % divisor:
-        raise ArithmeticError(
-            f"lattice sum {value} not divisible by {divisor}")
-    return value // divisor
-
-
 # (scale, divisor, twisted unary factors (a, char, weight)): q^n has
 # entry scale * n of the factors' product over the divisor as its
 # coefficient; quotient 3 also takes the divisor series of step 160
@@ -337,4 +346,7 @@ def quotient_coefficient(i: int, n: int) -> int:
         if i == 3:
             arrays.append(_divisor_series(160, prec))
         table = _QUOTIENT_TABLES[i] = _product(arrays, prec)
-    return _exact_div(int(table[m]), divisor)
+    value = int(table[m])
+    if value % divisor:
+        raise ArithmeticError(f"lattice sum {value} not divisible by {divisor}")
+    return value // divisor

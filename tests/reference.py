@@ -53,6 +53,39 @@ def mul_trunc(a, b, n: int) -> list[int]:
     return out
 
 
+def eta_product(exponents, n: int) -> list[int]:
+    """prod over (delta, r) of prod_{m>=1} (1 - q^(delta m))^r through
+    q^n, one q^j at a time in Python ints: |r| in-place passes per factor
+    over the pentagonal terms g of Euler's product, a multiplying pass
+    running j downward (every out[j - g] it reads is still old) and a
+    dividing pass upward (every out[j - g] it reads is already divided)."""
+    if n < 0:
+        raise ValueError("precision below the leading exponent")
+    out = [1] + [0] * n
+    for delta, r in exponents:
+        plus, minus = [], []  # the g of each sign, ascending
+        k = 1
+        while delta * k * (3 * k - 1) // 2 <= n:
+            (minus if k % 2 else plus).extend(
+                g for g in (delta * k * (3 * k - 1) // 2,
+                            delta * k * (3 * k + 1) // 2) if g <= n)
+            k += 1
+        order = range(n, 0, -1) if r > 0 else range(1, n + 1)
+        for _ in range(abs(r)):
+            for j in order:
+                acc = 0
+                for g in plus:
+                    if g > j:
+                        break
+                    acc += out[j - g]
+                for g in minus:
+                    if g > j:
+                        break
+                    acc -= out[j - g]
+                out[j] += acc if r > 0 else -acc
+    return out
+
+
 def tails_theta(form, prec: int) -> list[int]:
     """Theta coefficients through q^prec on the form's own basis: one walk
     of theta._tails, every first coordinate of every tail counted in

@@ -187,6 +187,25 @@ class TestCli:
         assert data["isCuspForm"] is True
         assert data["series"]["coeffs"][2] == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_eta_negative_leading_exponent_prints_nothing(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "eta", "--quotient", "1:-1",
+                                 "--level", "1", "--prec", "450",
+                                 "--out", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: negative leading exponent: no printable expansion\n"
+
+    @pytest.mark.parametrize("text, chunk", [
+        ("1", "'1'"), ("1:x", "'1:x'"), ("", "''"), ("1:1,,", "''"),
+        ("2:2,15:3:1", "'15:3:1'"),
+    ])
+    def test_eta_malformed_quotient_names_the_chunk(self, capsys, text, chunk):
+        code, out, err = run_cli(capsys, "eta", "--quotient", text,
+                                 "--level", "120")
+        assert code == 2 and out == ""
+        assert err == (f"error: malformed exponent {chunk}: expected delta:r, "
+                       "such as 15:3 or 1:-1\n")
+
     def test_eta_has_no_csv(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eta", "--quotient", "1:1", "--level", "1", "--out", "csv"])

@@ -10,7 +10,7 @@ from qflab.qseries import (EtaQuotient, LEVEL120_QUOTIENTS, QSeries,
                            eta_expansion, eta_quotient_expansion,
                            quotient_coefficient, newman_check, sturm_bound,
                            unary_theta_identities)
-from reference import mul_trunc
+from reference import eta_product, mul_trunc
 
 
 # -- a frozen copy of the earlier expansion path: dense eta powers at
@@ -191,6 +191,38 @@ class TestEtaProduct:
         assert _eta_product(((1, 5),), 0) == [1]
         with pytest.raises(ValueError):
             _eta_product(((1, 5),), -1)
+
+    def test_matches_reference(self):
+        """Random factors (delta <= 60, |r| <= 6) at lengths around the
+        block edges, products past int64 (in a dividing and in a
+        multiplying pass), and the level-120 quotients."""
+        rng = random.Random(17)
+        cases = [(((1, -1),), 500), (((1, -4),), 300), (((1, 60),), 300)]
+        cases += [(eq.exponents, 2000) for eq in LEVEL120_QUOTIENTS.values()]
+        for n in (0, 1, 2, 63, 64, 65, 127, 128, 129, 300, 1000):
+            for _ in range(4):
+                deltas = rng.sample(range(1, 61), rng.randint(1, 4))
+                cases.append((tuple(
+                    (d, rng.choice([r for r in range(-6, 7) if r]))
+                    for d in deltas), n))
+        for exponents, n in cases:
+            assert _eta_product(exponents, n) == eta_product(exponents, n), \
+                (exponents, n)
+
+    def test_widens_only_past_int64(self, monkeypatch):
+        widened, widen = [], qseries._widen
+
+        def spy(*arrays):
+            widened.append(len(arrays))
+            return widen(*arrays)
+
+        monkeypatch.setattr(qseries, "_widen", spy)
+        for eq in LEVEL120_QUOTIENTS.values():
+            eta_quotient_expansion(eq, 6000)
+        assert widened == []
+        got = _eta_product(((1, -1),), 500)
+        assert widened and got == eta_product(((1, -1),), 500)
+        assert got[500] > 2 ** 63 and all(type(c) is int for c in got)
 
 
 class TestEtaQuotient:
