@@ -2,7 +2,7 @@
 forms: lattice-point counting, Watson-type transforms, eta quotients and
 the strong square-regularity property."""
 
-from .arith import (SquareSplit, factorize, h_factor, kronecker,
+from .arith import (factorize, h_factor, kronecker,
                     local_density_good, square_split, valuation)
 from .cache import cache_theta, make_cache, resolve_cache_dir
 from .forms import QuadForm, congruence_sublattice, parse_form
@@ -30,7 +30,7 @@ __all__ = [
     "EtaQuotient", "GENUS_PAIRS",
     "GenusPair", "JordanSymbolOdd", "LEVEL120_QUOTIENTS", "QSeries",
     "QuadForm", "RegularityReport", "RepQuery", "SearchConfig",
-    "SearchFilters", "SquareSplit", "CLASSIFICATION_TABLE", "ClassificationEntry",
+    "SearchFilters", "CLASSIFICATION_TABLE", "ClassificationEntry",
     "all_bundled_forms", "cache_theta", "canonical_form",
     "check_indistinguishable", "congruence_sublattice", "cusp_orders",
     "divisor_character_sum", "eta_expansion", "eta_quotient_expansion",

@@ -8,7 +8,6 @@ representation numbers of squares at good primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,17 +77,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class SquareSplit:
-    """n = n1 * n2 with every prime of n1 dividing the context modulus
-    and n2 coprime to it; mu maps each prime of n2 to its exponent."""
-
-    n: int
-    n1: int
-    n2: int
-    mu: tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=1024)
 def _factors(n: int) -> tuple[tuple[int, int], ...]:
     # the n <= bound of a search or a verify suite repeat from check to
@@ -96,8 +84,10 @@ def _factors(n: int) -> tuple[tuple[int, int], ...]:
     return factorize(n)
 
 
-def square_split(n: int, two_dl: int) -> SquareSplit:
-    """Split n into its part supported on primes of two_dl and the rest."""
+def square_split(n: int, two_dl: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Split n = n1 * n2, every prime of n1 dividing two_dl and n2 coprime
+    to it: return n1 and the (prime, exponent) pairs mu of n2, so n2 is 1
+    exactly when mu is empty."""
     if n < 1 or two_dl < 1:
         raise ValueError("square_split needs positive arguments")
     n1 = 1
@@ -107,7 +97,7 @@ def square_split(n: int, two_dl: int) -> SquareSplit:
             mu.append((p, e))
         else:
             n1 *= p**e
-    return SquareSplit(n, n1, n // n1, tuple(mu))
+    return n1, tuple(mu)
 
 
 def h_factor(d_f: int, p: int, mu: int, k: int) -> int:

@@ -69,15 +69,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, default=2)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("table1", "props", "lemma54"))
-    p.add_argument("--bound", type=int, default=300,
-                   help="table1: regularity bound")
-    p.add_argument("--nmax", type=int, default=500,
-                   help="props: identity range")
-    p.add_argument("--prec", type=int, default=200,
-                   help="lemma54: expansion precision")
-    p.add_argument("--cache-dir", default=None)
-    add_out(p)
+    suites = p.add_subparsers(dest="suite", required=True)
+    s = suites.add_parser("table1", help="the classification table")
+    s.add_argument("--bound", type=int, default=300, help="regularity bound")
+    s.add_argument("--cache-dir", default=None)
+    add_out(s)
+    s = suites.add_parser("props", help="the genus-pair identities")
+    s.add_argument("--nmax", type=int, default=500, help="identity range")
+    add_out(s)
+    s = suites.add_parser("lemma54", help="the level-120 eta quotients")
+    s.add_argument("--prec", type=int, default=200,
+                   help="expansion precision")
+    add_out(s)
 
     p = sub.add_parser("search", help="search diagonal forms <1,a,b,c>")
     p.add_argument("--cmax", type=int, required=True)
@@ -118,7 +121,7 @@ def main(argv=None) -> int:
         print(f"error: request exceeds the exact integer capacity limit of "
               f"the theta engine ({exc})", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # the cache directory is the CLI's only file I/O
@@ -201,9 +204,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        cache = make_cache(args.cache_dir)
         if args.suite == "table1":
-            report = run_table1(args.bound, cache=cache)
+            report = run_table1(args.bound, cache=make_cache(args.cache_dir))
             if args.out == "text":
                 print(table1_markdown(report))
         elif args.suite == "props":

@@ -94,12 +94,12 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
     counterexample = None
     for n in range(1, bound + 1):
         r_sq.append(query.count(n * n))
-        split = square_split(n, 2 * d_f)
-        if split.n2 == 1:
+        n1, good = square_split(n, 2 * d_f)
+        if not good:
             continue
-        expected = r_sq[split.n1]
+        expected = r_sq[n1]
         if expected:
-            for p, mu in split.mu:
+            for p, mu in good:
                 expected *= h_factor(d_f, p, mu, form.rank)
         if expected != r_sq[n]:
             counterexample = (n, expected, r_sq[n])
@@ -138,7 +138,6 @@ def check_indistinguishable(pair: GenusPair, bound: int) -> PairCheck:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    name: str
     checks: tuple[tuple[str, bool], ...]
 
     @property
@@ -174,8 +173,8 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
         if lhs != rhs:
             ok = False
             break
-    name = f"square recursion at p={p} for {form.describe()}, n<={bound}"
-    return IdentityReport(name, ((name, ok),))
+    return IdentityReport(
+        ((f"square recursion at p={p} for {form.describe()}, n<={bound}", ok),))
 
 
 def _range_equal(qa: RepQuery, qb: RepQuery, points) -> bool:
@@ -196,7 +195,7 @@ def genus_pair_identity_check(which: str, n_max: int,
         qb = RepQuery(pair.mate, prec)
         even = _range_equal(qa, qb, (4 * n for n in range(n_max + 1)))
         odd = _range_equal(qa, qb, (4 * n + 1 for n in range(n_max + 1)))
-        return IdentityReport("1,2,6,16", (
+        return IdentityReport((
             (f"r(4n) agreement, n<={n_max}", even),
             (f"r(4n+1) agreement, n<={n_max}", odd),
         ))
@@ -218,7 +217,7 @@ def genus_pair_identity_check(which: str, n_max: int,
             consequence = consequence and ra == rb
         unit = all(qa.count(m) == qb.count(m) == 2 * qk.count(m)
                    for m in range(1, 3 * n_max + 2, 3))
-        return IdentityReport("1,1,3,5", (
+        return IdentityReport((
             (f"r(9n^2) = 4 r(9n^2, aux) - 3 r(n^2), n<={n_max}", ok_a),
             (f"mate analogue, n<={n_max}", ok_b),
             (f"r(3n+1) = 2 r(3n+1, unit-core), n<={n_max}", unit),
@@ -252,7 +251,7 @@ def genus_pair_identity_check(which: str, n_max: int,
         tb = theta_coeffs(pair.mate, mod5_bound)
         mod5 = all(ta[n] == tb[n] for n in range(1, mod5_bound + 1)
                    if n % 5 in (1, 4))
-        return IdentityReport("1,2,3,10", (
+        return IdentityReport((
             (f"r(25n^2) five-term identity, n<={n_max}", ok_a),
             (f"mate analogue, n<={n_max}", ok_b),
             (f"bridge step identity, n<={n_max}", ok_k1),

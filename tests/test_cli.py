@@ -62,6 +62,7 @@ class TestCli:
         '{"hessian": [[2,true,0,0],[true,2,0,0],[0,0,2,0],[0,0,0,2]]}',
         '{"rank": true, "hessian": [[2]]}',
         '{"rank": 2.0, "hessian": [[2,1],[1,2]]}',
+        '{"hessian": [[2,1],',
     ])
     def test_malformed_form_literal_is_a_usage_error(self, capsys, literal):
         code, out, err = run_cli(capsys, "sreg", "--form", literal,
@@ -231,6 +232,23 @@ class TestCli:
         data = json.loads(out)
         assert data["verdict"] == "pass"
         assert len(data["checks"]) == 37  # 36 forms + group count line
+        assert list(tmp_path.glob("theta-*.json"))
+
+    @pytest.mark.parametrize("argv", [
+        ("props", "--bound", "5"),
+        ("props", "--cache-dir", "D"),
+        ("lemma54", "--nmax", "5"),
+        ("table1", "--prec", "5"),
+    ], ids=["props-bound", "props-cache-dir", "lemma54-nmax", "table1-prec"])
+    def test_verify_suite_refuses_other_suites_options(self, capsys, argv):
+        """Each suite accepts only its own options: another suite's option
+        is a usage error before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
 
     def test_search_text(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--cmax", "3",
