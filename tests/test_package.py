@@ -82,3 +82,25 @@ def test_reproduce_classification_script_refuses_empty_cache_dir():
     assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "cache directory must not be empty" in done.stderr
+
+
+def test_failing_hypothesis_test_reports_its_traceback(tmp_path):
+    """A failing @given test fails on its own under the project's pytest
+    settings: the run goes on to the next test, with no INTERNALERROR
+    from a warning raised while hypothesis reports the failure."""
+    (tmp_path / "test_sample.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers(0, 10))\n"
+        "def test_fails(n):\n"
+        "    assert n < 5\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", str(tmp_path / "test_sample.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout
+    assert "assert n < 5" in done.stdout

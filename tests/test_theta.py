@@ -463,17 +463,18 @@ class TestTails:
     @given(st.integers(1, 4), st.integers(0, 2**32), st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
     def test_ranges_are_exact(self, k, seed, bound):
-        """Each t in [lo, hi) gives Q <= bound with the yielded quadratic;
-        lo - 1 and hi give Q > bound."""
+        """Each t in [lo, hi) of each row of each batch gives Q <= bound
+        with the yielded quadratic; lo - 1 and hi give Q > bound."""
         form = random_definite(random.Random(seed), k)
         a2 = form.hessian[0][0] // 2
-        for x, lo, hi, a1, a0 in _tails(form, bound):
-            tail = x[1:]
-            for t in range(lo, hi):
-                q = form.evaluate((t, *tail))
-                assert q <= bound and q == (a2 * t + a1) * t + a0
-            assert form.evaluate((lo - 1, *tail)) > bound
-            assert form.evaluate((hi, *tail)) > bound
+        for x, *arrays in _tails(form, bound):
+            for x1, lo, hi, a1, a0 in zip(*(arr.tolist() for arr in arrays)):
+                tail = (x1, *x[2:])[:k - 1]
+                for t in range(lo, hi):
+                    q = form.evaluate((t, *tail))
+                    assert q <= bound and q == (a2 * t + a1) * t + a0
+                assert form.evaluate((lo - 1, *tail)) > bound
+                assert form.evaluate((hi, *tail)) > bound
 
     def test_leaf_constant_beyond_int64(self):
         """The leaf budget reaches 2 bound H[0][0] = 4e19 here, past int64;
@@ -482,6 +483,81 @@ class TestTails:
         assert theta_coeffs(form, 100) == [1] + [0] * 100
         assert represent_count(form, 100) == 0
         assert short_vectors(form, 100) == {}
+
+
+class TestBatchedLevels:
+    """The numpy levels of the walker: the chunks of _theta_sweep, the
+    int64 widening and the array square root."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("flush", [1, 3, 16, 64])
+    def test_chunk_seams(self, seed, flush):
+        """With _FLUSH a few values, chunks start and end inside batches
+        and inside rows, and pending batches are joined before a chunk."""
+        rng = random.Random(8300 + seed)
+        with mock.patch.object(theta, "_FLUSH", flush):
+            for k, prec in ((2, 150), (3, 60), (4, 25)):
+                base = random_definite(rng, k)
+                reduced, _ = reduction.minkowski_reduce(base)
+                for form in (base, skewed_conjugate(rng, reduced)):
+                    self._check_against_fractions(form, prec)
+
+    def test_widened_walk(self):
+        """Level-1 budgets past int64 widen the arrays to Python ints, and
+        the points are still found; so does a skewed binary whose
+        coordinates and a0 = c^2 + 1 pass int64 while D_1 D_2 stays small."""
+        c = 2**40
+        skewed = QuadForm(((2, 2 * c), (2 * c, 2 * c * c + 2)))
+        for form, bound in ((QuadForm(((2, 1), (1, 2 * 10**17))), 100),
+                            (skewed, 50)):
+            assert theta._wide(form, bound)
+            self._check_against_fractions(form, bound)
+        assert theta_coeffs(skewed, 50) == \
+            theta_coeffs(QuadForm.diagonal((1, 1)), 50)
+
+    def test_bundled_blocks_stay_int64(self):
+        """The sweeps the suites and the cache make stay on int64."""
+        for form in all_bundled_forms().values():
+            for blk in form.orthogonal_blocks():
+                assert not theta._wide(blk, 20000), blk.hessian
+        assert not theta._wide(A4, 10**4)
+
+    def test_array_isqrt_at_square_edges(self):
+        rng = np.random.default_rng(8400)
+        ks = np.concatenate((np.arange(1, 5000),
+                             rng.integers(1, 2**31 - 1, 10**5),
+                             2**np.arange(16, 31) + np.arange(-2, 3)[:, None],
+                             [2**31 - 1]), axis=None).astype(np.int64)
+        squares = ks * ks
+        assert (theta._isqrt(squares) == ks).all()
+        assert (theta._isqrt(squares - 1) == ks - 1).all()
+        assert (theta._isqrt(squares + 1) == ks).all()
+        assert theta._isqrt(np.zeros(1, dtype=np.int64)).tolist() == [0]
+        big = [0, 1, 2**62, 2**64 - 1, 10**40, 10**40 - 1]
+        assert theta._isqrt(np.array(big, dtype=object)).tolist() == \
+            [isqrt(v) for v in big]
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_array_isqrt_corrects_an_estimate_off_by_one(self, shift):
+        """IEEE sqrt never misses by one below 2^62 here; an estimate that
+        did, either way, would still be corrected."""
+        ks = np.arange(2, 5000, dtype=np.int64)
+        real_sqrt = np.sqrt
+        with mock.patch.object(np, "sqrt", lambda v: real_sqrt(v) + shift):
+            for v, root in ((ks * ks - 1, ks - 1), (ks * ks, ks),
+                            (ks * ks + 1, ks)):
+                assert (theta._isqrt(v) == root).all()
+
+    @staticmethod
+    def _check_against_fractions(form: QuadForm, prec: int):
+        with mock.patch.object(theta, "_reduced_blocks", lambda f: (f,)):
+            assert theta._theta_sweep(form, prec).tolist() == \
+                fraction_theta(form, prec), form.hessian
+        for n in range(prec + 1):
+            assert represent_count(form, n) == fraction_count(form, n), \
+                (form.hessian, n)
+        assert short_vectors(form, prec) == \
+            fraction_short_vectors(form, prec), form.hessian
 
 
 class TestVectors:
