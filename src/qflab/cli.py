@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 verification mismatch, 2 usage error
 or unusable cache directory, 3 request beyond the exact integer capacity
-of the theta engine.
+of the theta engine, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early, as in `qflab theta ... | head -1`; that exit prints
+nothing to stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .cache import cache_theta, make_cache
@@ -116,7 +119,13 @@ def _emit_suite(report, out: str) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout is gone: point it at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OverflowError as exc:
         print(f"error: request exceeds the exact integer capacity limit of "
               f"the theta engine ({exc})", file=sys.stderr)

@@ -226,9 +226,11 @@ class CuspReport:
 def cusp_orders(eq: EtaQuotient) -> CuspReport:
     """Vanishing order at each cusp class d | N (Ligozat's formula)."""
     n = eq.level
-    divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
+    divisors = [1]
+    for p, e in factorize(n):
+        divisors = [d * p ** j for d in divisors for j in range(e + 1)]
     orders = []
-    for d in divisors:
+    for d in sorted(divisors):
         total = Fraction(0)
         for delta, r in eq.exponents:
             g = gcd(d, delta)

@@ -3,16 +3,18 @@
 One walker, `_tails`, completes the square of the form in integers, on
 the rows of the Bareiss elimination the form keeps, so every bound is
 an integer square root and no boundary case is ever lost to rounding.
-Its outer coordinates walk in Python; for each outer tail it yields one
-batch of numpy arrays over every second coordinate: the exact range of
-the first coordinate and the integer quadratic on it.  `_theta_sweep`
-lays those ranges end to end and counts their values a chunk at a time,
-`represent_count` tests all range ends at once and `short_vectors` lists
-the sign-canonical part of each row.  Theta is an isometry invariant, so
-`_theta_sweep` walks a block of rank >= 3 on its reduced basis
-(`_reduced_blocks`, once per block) and multiplies the parts' sweeps
-where that basis splits: a skewed basis of a split lattice is never walked
-whole.  `represent_count` and `short_vectors` walk the basis they are given.
+Every coordinate is one step on numpy arrays over the rows of a chunk,
+and the walker yields batches of rows: the tails x[1:], the exact range
+of the first coordinate and the integer quadratic on it.  `_spread` lays
+ragged ranges end to end and hands them out a chunk at a time, to each
+walker level that expands its rows and to `_theta_sweep`, which counts
+the values; `represent_count` tests all range ends at once and
+`short_vectors` lists the sign-canonical part of each row.  Theta is an
+isometry invariant, so `_theta_sweep` walks a block of rank >= 3 on its
+reduced basis (`_reduced_blocks`, once per block) and multiplies the
+parts' sweeps where that basis splits: a skewed basis of a split lattice
+is never walked whole.  `represent_count` and `short_vectors` walk the
+basis they are given.
 
 `_theta_unary` is the one square-series kernel: the theta of <a>, or
 its twist by a Kronecker character and s^weight, which the q-series
@@ -60,94 +62,96 @@ def _wide(form: QuadForm, bound: int) -> bool:
     """Whether a walk of form to bound could meet a value of 2^62 or more
     in its arrays or in a consumer's (a2 t + a1) t + a0.
 
-    With w = 2 bound, the level-1 budgets D_1 e stay below w D_1 D_2.  The
-    rest grows with the coordinates: every real x with x^T H x <= w has
+    With w = 2 bound, level i computes D_i e < w D_i D_{i+1}.  The rest
+    grows with the coordinates: every real x with x^T H x <= w has
     x_j^2 <= w (H^-1)_jj <= w trace^(k-1) / det = span (each eigenvalue of
-    H is at most its trace), and a1 = -H[0][0] x0 at the real centre of a
-    row, so |a1| <= H[0][0] sqrt(span) and every other value is a small
-    multiple of H[0][0]^2 span.  A skewed binary such as (x + c y)^2 + y^2
-    has small D_1 D_2 and yet a0 = c^2 + 1, so the span term is needed.
+    H is at most its trace).  So every Bareiss entry times a coordinate
+    stays below entry sqrt(span), and so does a row's offset at level i,
+    which is -D_{i+1} times the real centre of x[i].  At level 0 the
+    offset is a1, and every other value there is a small multiple of
+    H[0][0]^2 span.  A skewed binary such as (x + c y)^2 + y^2 has small
+    D_1 D_2 and yet a0 = c^2 + 1, so the span terms are needed.
     """
     m = form._rows
     k = len(m)
-    h00, d2 = m[0][0], (m[1][1] if k > 1 else 1)
+    d = [1, *(m[i][i] for i in range(k))]  # D_0, .., D_k
     w = 2 * bound
     trace = sum(form.hessian[i][i] for i in range(k))
-    span = w * trace ** (k - 1) // m[-1][-1] + 1
-    return max(w * h00 * d2, d2, 8 * h00 * h00 * span) >= _INT64_GUARD
+    span = w * trace ** (k - 1) // d[k] + 1
+    entry = max(abs(v) for row in m for v in row)
+    return max(w * max(a * b for a, b in zip(d, d[1:])),
+               entry * (isqrt(span) + 1),
+               8 * d[1] * d[1] * span) >= _INT64_GUARD
+
+
+def _spread(lo: np.ndarray, hi: np.ndarray):
+    """Lay the ranges [lo, hi) of the rows end to end and hand them out
+    _FLUSH values at a time, as (rows, c, t): the slice of rows that the
+    chunk overlaps, how many values c of each, and the values t in order.
+    A chunk may start or end inside a row, and no temporary holds more
+    than _FLUSH values.  A caller spreads a row array over the chunk with
+    arr[rows].repeat(c), which is faster than a gather by fancy index."""
+    size = (hi - lo).astype(np.int64)
+    ends = np.cumsum(size)
+    starts = ends - size
+    shift = lo - starts  # t is a value's place in the layout plus this
+    total = int(ends[-1])
+    for s in range(0, total, _FLUSH):
+        e = min(s + _FLUSH, total)
+        # the rows that overlap [s, e): from the first that ends past s
+        # to the first that reaches e
+        first, last = ends.searchsorted((s + 1, e))
+        rows = slice(first, last + 1)
+        c = np.minimum(ends[rows], e) - np.maximum(starts[rows], s)
+        t = shift[rows].repeat(c)
+        t += np.arange(s, e)
+        yield rows, c, t
 
 
 def _tails(form: QuadForm, bound: int):
-    """Every tail x[1:] of a vector x with Q(x) <= bound, one batch per
-    outer tail x[2:], as (x, x1, lo, hi, a1, a0): row i of the arrays is
-    the tail (x1[i], *x[2:]), and Q(t, x1[i], *x[2:]) =
-    a2 t^2 + a1[i] t + a0[i], a2 = H[0][0]/2, is at most bound exactly for
-    lo[i] <= t < hi[i].  A rank-2 form is one batch; rank 1 is one batch
-    of one row, whose x1 = [0] stands for no coordinate.
+    """Every tail x[1:] of a vector x with Q(x) <= bound, in batches
+    (xs, lo, hi, a1, a0) of arrays over rows: row r of the 2-D array xs
+    is a tail, and Q(t, *xs[r]) = a2 t^2 + a1[r] t + a0[r], a2 = H[0][0]/2,
+    is at most bound exactly for lo[r] <= t < hi[r].
 
     With the Bareiss rows m the form keeps, D_i = m[i-1][i-1] (D_0 = 1)
     and l_i(x) = sum_{j>=i} m[i][j] x_j, 2 Q(x) = sum_i l_i^2 / (D_i D_{i+1}).
     x[k-1], .., x[0] are taken in turn under the integer budget
     e = D_{i+1} (2 bound - sum_{j>i} l_j^2 / (D_j D_{j+1})): x[i] takes
     exactly the t with l_i^2 <= D_i e and leaves the exact quotient
-    (D_i e - l_i^2) / D_{i+1} to x[i-1].  x[k-1], .., x[2] walk in Python
-    ints; x[1] and x[0] are numpy arrays over every x[1] at once, level 0
-    taking its bounds by the array square root `_isqrt`.  The arrays are
-    int64, or Python ints (dtype=object) when `_wide` says a value could
-    pass int64.  x is one list, reused between batches (x[0] and x[1]
-    stay 0).
+    (D_i e - l_i^2) / D_{i+1} to x[i-1].  Each level is one step on
+    arrays over all rows of a chunk, its bounds from the array square root
+    `_isqrt`; levels >= 1 expand their rows' ranges with `_spread`, so a
+    chunk may start or end inside a row, and level 0 yields them.  The
+    arrays are int64, or Python ints (dtype=object) when `_wide` says a
+    value could pass int64.
     """
     m = form._rows
     k = len(m)
-    h00 = m[0][0]
     dtype = object if _wide(form, bound) else np.int64
-    x = [0] * k
+    coeffs = [np.array(row[i + 1:], dtype=dtype) for i, row in enumerate(m)]
 
-    def leaf(x1, rest, a1):
-        # rest is each row's budget for x[0]: l_0^2 <= rest
-        r = _isqrt(rest)
-        return (x, x1, -((r + a1) // h00), (r - a1) // h00 + 1, a1,
-                bound - (rest - a1 * a1) // (2 * h00))
+    def level(i: int, xs: np.ndarray, e: np.ndarray):
+        # xs holds the rows' x[i+1:], e their budgets for x[i]
+        piv = m[i][i]
+        n = xs @ coeffs[i]  # l_i without its x[i] term
+        p = e * m[i - 1][i - 1] if i else e
+        r = _isqrt(p)
+        lo, hi = -((r + n) // piv), (r - n) // piv + 1
+        if i == 0:
+            yield xs, lo, hi, n, bound - (p - n * n) // (2 * piv)
+            return
+        for rows, c, t in _spread(lo, hi):
+            ell = piv * t
+            ell += n[rows].repeat(c)
+            sub = np.empty((len(t), k - i), dtype=dtype)
+            sub[:, 0] = t
+            sub[:, 1:] = xs[rows].repeat(c, axis=0)
+            yield from level(i - 1, sub,
+                             (p[rows].repeat(c) - ell * ell) // piv)
 
-    def batch(e: int):
-        # e is the budget of x[1]; yields nothing when no x[1] fits
-        d2, m01 = m[1][1], m[0][1]
-        n = sum(m[1][j] * x[j] for j in range(2, k))
-        c0 = sum(m[0][j] * x[j] for j in range(2, k))
-        p = h00 * e
-        r = isqrt(p)
-        t0 = -((r + n) // d2)
-        size = (r - n) // d2 + 1 - t0
-        if size > 0:
-            # offsets from the first x[1]: no array holds n or c0 alone
-            i = np.arange(size, dtype=dtype)
-            ell = d2 * i
-            ell += d2 * t0 + n
-            yield leaf(i + t0, (p - ell * ell) // d2,
-                       m01 * i + (m01 * t0 + c0))
-
-    def descend(i: int, e: int):
-        row, piv, prev = m[i], m[i][i], m[i - 1][i - 1]
-        n = sum(row[j] * x[j] for j in range(i + 1, k))
-        r = isqrt(prev * e)
-        for t in range(-((r + n) // piv), (r - n) // piv + 1):
-            x[i] = t
-            ell = piv * t + n
-            rest = (prev * e - ell * ell) // piv
-            if i > 2:
-                yield from descend(i - 1, rest)
-            else:
-                yield from batch(rest)
-        x[i] = 0
-
-    top = 2 * bound * m[-1][-1]
-    if k == 1:
-        zero = np.zeros(1, dtype=dtype)
-        yield leaf(zero, np.full(1, top, dtype=dtype), zero)
-    elif k == 2:
-        yield from batch(top)
-    else:
-        yield from descend(k - 1, top)
+    yield from level(k - 1, np.zeros((1, 0), dtype=dtype),
+                     np.full(1, 2 * bound * m[-1][-1], dtype=dtype))
 
 
 def _theta_unary(a: int, prec: int, char: int = 1,
@@ -192,45 +196,15 @@ def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
     if form.rank == 1:
         return _theta_unary(a2, prec)
     counts = np.zeros(prec + 1, dtype=np.int64)
-    # batches are pooled up to _FLUSH / 8 rows, so that the numpy calls
-    # of one chunk serve many small batches
-    pending: list[list[np.ndarray]] = []
-    rows = 0
-    for _, _, *arrays in _tails(form, prec):
-        pending.append(arrays)
-        rows += len(arrays[0])
-        if rows >= _FLUSH >> 3:
-            _count_ranges(counts, a2, *map(np.concatenate, zip(*pending)))
-            pending, rows = [], 0
-    if pending:
-        _count_ranges(counts, a2, *map(np.concatenate, zip(*pending)))
+    for _, lo, hi, a1, a0 in _tails(form, prec):
+        for rows, c, t in _spread(lo, hi):
+            q = a2 * t
+            q += a1[rows].repeat(c)
+            q *= t
+            del t
+            q += a0[rows].repeat(c)
+            np.add.at(counts, q.astype(np.int64, copy=False), 1)
     return counts
-
-
-def _count_ranges(counts, a2, lo, hi, a1, a0) -> None:
-    """Add to counts one for each value (a2 t + a1) t + a0, over every t
-    in [lo, hi) of every row: the ragged ranges are laid end to end and
-    taken _FLUSH values at a time, so a chunk may start or end inside a
-    row and no temporary holds more than _FLUSH values."""
-    size = (hi - lo).astype(np.int64)
-    ends = np.cumsum(size)
-    starts = ends - size
-    shift = lo - starts  # t is a value's place in the layout plus this
-    total = int(ends[-1])
-    for s in range(0, total, _FLUSH):
-        e = min(s + _FLUSH, total)
-        # the rows that overlap [s, e), and how much of each does
-        rows = slice(np.searchsorted(ends, s, side="right"),
-                     np.searchsorted(starts, e))
-        c = np.minimum(ends[rows], e) - np.maximum(starts[rows], s)
-        t = np.repeat(shift[rows], c)
-        t += np.arange(s, e)
-        q = a2 * t
-        q += np.repeat(a1[rows], c)
-        q *= t
-        del t
-        q += np.repeat(a0[rows], c)
-        np.add.at(counts, q.astype(np.int64, copy=False), 1)
 
 
 def _convolve_trunc(a: np.ndarray, b: np.ndarray, prec: int) -> np.ndarray:
@@ -348,7 +322,7 @@ def represent_count(form: QuadForm, n: int) -> int:
         raise ValueError("n must be nonnegative")
     a2 = form.hessian[0][0] // 2
     total = 0
-    for _, _, lo, hi, a1, a0 in _tails(form, n):
+    for _, lo, hi, a1, a0 in _tails(form, n):
         # Q <= n exactly on [lo, hi), so Q = n can only hold at its ends
         last = hi - 1
         total += (np.count_nonzero(((a2 * lo + a1) * lo + a0 == n)
@@ -361,13 +335,11 @@ def represent_count(form: QuadForm, n: int) -> int:
 def short_vectors(form: QuadForm, cap: int) -> dict[int, list[tuple[int, ...]]]:
     """Sign-canonical vectors with 0 < Q(v) <= cap, grouped by value: the
     first nonzero coordinate of each listed vector is positive."""
-    k = form.rank
     a2 = form.hessian[0][0] // 2
     out: dict[int, list[tuple[int, ...]]] = {}
-    for x, *arrays in _tails(form, cap):
-        outer = x[2:]
-        for x1, lo, hi, a1, a0 in zip(*(arr.tolist() for arr in arrays)):
-            tail = (x1, *outer)[:k - 1]  # rank 1 has no x[1]
+    for xs, *arrays in _tails(form, cap):
+        for tail, lo, hi, a1, a0 in zip(map(tuple, xs.tolist()),
+                                        *(arr.tolist() for arr in arrays)):
             lead = next((c for c in tail if c), 0)
             for t in range(max(lo, 0 if lead > 0 else 1), hi):
                 out.setdefault((a2 * t + a1) * t + a0, []).append((t, *tail))
@@ -388,7 +360,7 @@ class RepQuery:
     halves come from the memo `_half`, so checks of forms that share a
     half (as the diagonal search's do) sweep it once per precision; the
     build at prec is never memoised.  A single block (queried by array
-    lookup) or a block of rank >= 3 (a walker step per outer tail) is
+    lookup) or a block of rank >= 3 (swept on its reduced basis) is
     built at prec at once.  Halves follow the form's own blocks, so a
     one-block form stays one array, a lookup, even when its sweep splits.
     Only the build at prec asks `cache`, one lookup per block.  A query is

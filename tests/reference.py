@@ -88,12 +88,12 @@ def eta_product(exponents, n: int) -> list[int]:
 
 def tails_theta(form, prec: int) -> list[int]:
     """Theta coefficients through q^prec on the form's own basis: one walk
-    of theta._tails, every first coordinate of every tail of every batch
+    of theta._tails, every first coordinate of every row of every batch
     counted in Python.  No reduction, no split into blocks, and no numpy
     past reading the batches."""
     a2 = form.hessian[0][0] // 2
     out = [0] * (prec + 1)
-    for _, _, *arrays in _tails(form, prec):
+    for _, *arrays in _tails(form, prec):
         for lo, hi, a1, a0 in zip(*(arr.tolist() for arr in arrays)):
             for t in range(lo, hi):
                 out[(a2 * t + a1) * t + a0] += 1

@@ -178,6 +178,23 @@ class TestCli:
         assert done.returncode == 2
         assert done.stderr == "error: 1 is not an odd prime\n"
 
+    def test_reader_closing_stdout_is_not_a_cache_fault(self):
+        """A reader that stops after one line, as `| head -1` does, ends
+        the run with status 141 and an empty stderr: no cache wording, no
+        traceback and no "Exception ignored" line.  The output is far
+        larger than a pipe buffer, so the writer meets the closed pipe."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qflab.cli", "theta", "--form", "1,1",
+             "--prec", "200000", "--out", "csv"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        with proc:
+            assert proc.stdout.readline() == "n,r\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+
     def test_eta_json(self, capsys):
         code, out, _ = run_cli(capsys, "eta", "--quotient", "2:2,15:3,1:-1",
                                "--level", "120", "--prec", "20",

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,23 @@ class TestEtaQuotient:
         assert orders[1] == 1
         assert 7 not in orders
         assert report.is_cusp_form
+
+    def test_cusp_classes_come_from_the_factorization(self):
+        """The cusp classes are the divisors of the level, built from its
+        factorization: the trial-division list for every level <= 300, and
+        a level of 2^40 answers at once (scanning every integer up to it
+        would not finish)."""
+        for level in range(1, 301):
+            report = cusp_orders(EtaQuotient(level, ((1, 24),)))
+            assert [d for d, _ in report.orders] == \
+                [d for d in range(1, level + 1) if level % d == 0], level
+        start = time.perf_counter()
+        report = cusp_orders(EtaQuotient(2**40, ((1, 24),)))
+        assert time.perf_counter() - start < 5
+        # Delta = eta^24 vanishes to order N / (gcd(d, N/d) d) at cusp d
+        assert report.orders == tuple(
+            (2**j, Fraction(2**40, 2**min(j, 40 - j) * 2**j))
+            for j in range(41))
 
     def test_cusp_order_at_level_is_q_valuation(self):
         quotients = list(LEVEL120_QUOTIENTS.values()) + [

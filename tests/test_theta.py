@@ -334,7 +334,7 @@ class TestWalkerAgainstFractionReference:
     def _check(rng, form, prec, cap):
         expected = fraction_theta(form, prec)
         assert theta_coeffs(form, prec) == expected, form.hessian
-        # the numpy leaf on the skewed basis itself, not a reduced one
+        # the numpy sweep on the skewed basis itself, not a reduced one
         with mock.patch.object(theta, "_reduced_blocks", lambda f: (f,)):
             assert theta._theta_sweep(form, prec).tolist() == expected, \
                 form.hessian
@@ -467,9 +467,10 @@ class TestTails:
         with the yielded quadratic; lo - 1 and hi give Q > bound."""
         form = random_definite(random.Random(seed), k)
         a2 = form.hessian[0][0] // 2
-        for x, *arrays in _tails(form, bound):
-            for x1, lo, hi, a1, a0 in zip(*(arr.tolist() for arr in arrays)):
-                tail = (x1, *x[2:])[:k - 1]
+        for xs, *arrays in _tails(form, bound):
+            for tail, lo, hi, a1, a0 in zip(map(tuple, xs.tolist()),
+                                            *(arr.tolist() for arr in arrays)):
+                assert len(tail) == k - 1
                 for t in range(lo, hi):
                     q = form.evaluate((t, *tail))
                     assert q <= bound and q == (a2 * t + a1) * t + a0
@@ -486,14 +487,16 @@ class TestTails:
 
 
 class TestBatchedLevels:
-    """The numpy levels of the walker: the chunks of _theta_sweep, the
-    int64 widening and the array square root."""
+    """The array levels of the walker: the chunks of _spread in the
+    walker and in _theta_sweep, the int64 widening and the array square
+    root."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("flush", [1, 3, 16, 64])
     def test_chunk_seams(self, seed, flush):
-        """With _FLUSH a few values, chunks start and end inside batches
-        and inside rows, and pending batches are joined before a chunk."""
+        """With _FLUSH a few values, chunks start and end inside rows,
+        both where _theta_sweep counts a batch's ranges and where each
+        walker level >= 1 expands its rows into the next level's."""
         rng = random.Random(8300 + seed)
         with mock.patch.object(theta, "_FLUSH", flush):
             for k, prec in ((2, 150), (3, 60), (4, 25)):
@@ -514,6 +517,21 @@ class TestBatchedLevels:
             self._check_against_fractions(form, bound)
         assert theta_coeffs(skewed, 50) == \
             theta_coeffs(QuadForm.diagonal((1, 1)), 50)
+
+    @pytest.mark.parametrize("diag", [(1, 2**28, 1), (1, 2**20, 2**20, 1)],
+                             ids=["rank-3", "rank-4"])
+    def test_widened_outer_levels(self, diag):
+        """A budget past int64 only at a level >= 2 widens the arrays
+        too: D_i e passes 2^67 at every level i >= 2, while level 1's
+        stays below 2^38 and the coordinates and a0 below 2^6.  The
+        basis is skewed by the all-ones upper triangle, so that the outer
+        levels have nonzero offsets.  Reduction would split these forms;
+        the walk is of the skewed basis itself."""
+        k = len(diag)
+        skew = [[int(r <= c) for c in range(k)] for r in range(k)]
+        form = conjugated(QuadForm.diagonal(diag), skew)
+        assert theta._wide(form, 50)
+        self._check_against_fractions(form, 50)
 
     def test_bundled_blocks_stay_int64(self):
         """The sweeps the suites and the cache make stay on int64."""
