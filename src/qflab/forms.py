@@ -19,11 +19,17 @@ from ._matrix import conjugate, hnf_basis, integer_kernel
 
 @dataclass(frozen=True)
 class QuadForm:
+    """A form by its hessian H, checked on construction (integer entries,
+    even diagonal, symmetric, positive definite), with the rows of the
+    fraction-free elimination of H.  A hessian with no off-diagonal
+    entries, from any constructor, gets those rows in closed form and
+    splits into unary blocks with no search."""
+
     hessian: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         try:
-            h = tuple(tuple(map(index, row)) for row in self.hessian)
+            h = tuple([tuple(map(index, row)) for row in self.hessian])
         except TypeError as exc:
             raise ValueError("hessian must be a matrix of integers") from exc
         object.__setattr__(self, "hessian", h)
@@ -32,6 +38,23 @@ class QuadForm:
             raise ValueError(f"rank {k} not supported (want 1..4)")
         if any(len(row) != k for row in h):
             raise ValueError("hessian must be square")
+        diag = [row[i] for i, row in enumerate(h)]
+        # a diagonal hessian (no off-diagonal entries) eliminates in closed
+        # form: its pivots are the running products of its entries
+        if all(diag) and all(row.count(0) == k - 1 for row in h):
+            if any(d % 2 for d in diag):
+                raise ValueError("diagonal entries of the hessian must be even")
+            if min(diag) < 0:
+                raise ValueError("form is not positive definite")
+            a, piv = [], 1
+            for i, d in enumerate(diag):
+                piv *= d
+                row = [0] * k
+                row[i] = piv
+                a.append(row)
+            object.__setattr__(self, "_diagonal", True)
+            object.__setattr__(self, "_rows", a)
+            return
         for i in range(k):
             if h[i][i] % 2:
                 raise ValueError("diagonal entries of the hessian must be even")
@@ -48,6 +71,7 @@ class QuadForm:
             for r in range(i + 1, k):
                 for c in range(i + 1, k):
                     a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+        object.__setattr__(self, "_diagonal", False)
         object.__setattr__(self, "_rows", a)
 
     # -- constructors -------------------------------------------------
@@ -56,10 +80,12 @@ class QuadForm:
     def diagonal(cls, q_values) -> "QuadForm":
         """Form sum a_i x_i^2 from its coefficient list."""
         vals = list(q_values)
-        return cls(tuple(
-            tuple(2 * vals[i] if i == j else 0 for j in range(len(vals)))
-            for i in range(len(vals))
-        ))
+        hessian = []
+        for i, q in enumerate(vals):
+            row = [0] * len(vals)
+            row[i] = 2 * q
+            hessian.append(row)
+        return cls(hessian)
 
     @classmethod
     def from_gram(cls, gram) -> "QuadForm":
@@ -127,8 +153,7 @@ class QuadForm:
         return total // 2
 
     def is_diagonal(self) -> bool:
-        return all(self.hessian[i][j] == 0
-                   for i in range(self.rank) for j in range(i))
+        return self._diagonal
 
     def divided_by(self, e: int) -> "QuadForm":
         """Scale Q by 1/e (e must divide the norm ideal)."""
@@ -139,6 +164,9 @@ class QuadForm:
     def orthogonal_blocks(self) -> list["QuadForm"]:
         """Split into orthogonal components, in order of their first
         basis index."""
+        if self._diagonal:
+            return [_block_form((row[i:i + 1],))
+                    for i, row in enumerate(self.hessian)]
         k = self.rank
         seen = [False] * k
         blocks = []

@@ -89,20 +89,22 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
     # character of the odd-rank good-prime factor (det H itself has an odd
     # power of 2 and gives the wrong quadratic character)
     d_f = form.discriminant if form.rank == 4 else form.discriminant // 2
-    query = RepQuery(form, bound * bound, cache=cache)
+    count = RepQuery(form, bound * bound, cache=cache).count
+    two_d_f, rank = 2 * d_f, form.rank
     r_sq = [1]  # r(n^2) for n = 0, 1, ...
     counterexample = None
     for n in range(1, bound + 1):
-        r_sq.append(query.count(n * n))
-        n1, good = square_split(n, 2 * d_f)
+        actual = count(n * n)
+        r_sq.append(actual)
+        n1, good = square_split(n, two_d_f)
         if not good:
             continue
         expected = r_sq[n1]
         if expected:
             for p, mu in good:
-                expected *= h_factor(d_f, p, mu, form.rank)
-        if expected != r_sq[n]:
-            counterexample = (n, expected, r_sq[n])
+                expected *= h_factor(d_f, p, mu, rank)
+        if expected != actual:
+            counterexample = (n, expected, actual)
             break
     # with no r(n^2) > 0 every expected value was 0: no counterexample
     ms_value = next((n for n in range(1, len(r_sq)) if r_sq[n]), None)

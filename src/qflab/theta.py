@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from operator import attrgetter
 
 import numpy as np
 
@@ -288,15 +289,17 @@ def _product(arrays, prec: int) -> np.ndarray:
 
 # partial builds stop at _PARTIAL_MAX: at most about 16 MB of float64 arrays
 @lru_cache(maxsize=256)
-def _half(blocks: tuple[QuadForm, ...], n: int) -> np.ndarray:
+def _half(blocks: tuple[QuadForm, ...], n: int) -> tuple[np.ndarray, int]:
     """The theta product through n of a RepQuery half and then the same
-    reversed, as float64: a query takes a from the front of one half and
-    b from the back of the other.  Shared read-only by every query that
-    builds the same half partially."""
+    reversed, as float64, with the product's maximum: a query takes a
+    from the front of one half and b from the back of the other, and the
+    maxima give its 2^53 guard without a rescan.  Shared read-only by
+    every query that builds the same half partially."""
     arr = _product([_theta_sweep(blk, n) for blk in blocks], n)
+    top = int(arr.max())
     arr = np.concatenate((arr, arr[::-1]), dtype=np.float64)
     arr.flags.writeable = False
-    return arr
+    return arr, top
 
 
 def _theta_array(form: QuadForm, n_max: int) -> np.ndarray:
@@ -352,8 +355,10 @@ class RepQuery:
     """Point queries r(m) for m <= prec.
 
     The orthogonal blocks of the form are split into two halves of
-    nearly equal rank; a query is one dot product of the halves' theta
-    vectors, each the _product of its block thetas.  Halves of blocks of
+    nearly equal rank: largest blocks first, each joins the half of lower
+    rank (the first on a tie), so <1,2,3,10> gives (<1>,<10>) and
+    (<2>,<3>).  A query is one dot product of the halves' theta vectors,
+    each the _product of its block thetas.  Halves of blocks of
     rank <= 2 grow on demand: a query past the built precision rebuilds
     both at max(m, 4 x built, 64), or at prec once that passes
     _PARTIAL_MAX, so a failing check stops at a small sweep.  Partial
@@ -366,9 +371,11 @@ class RepQuery:
     Only the build at prec asks `cache`, one lookup per block.  A query is
     one float64 BLAS dot, exact in any summation order: every build
     raises OverflowError unless max(a) max(b) (n + 1), which bounds each
-    term and partial sum, is below 2^53.  b is kept reversed and
-    contiguous, since a reversed view gets no BLAS and is slower than an
-    int64 dot.  No int64 dot is kept: that bound reaches 2^53 only for
+    term and partial sum, is below 2^53 (a partial build reads the maxima
+    from `_half`).  A query within the built precision is answered
+    before any other test; m < 0 and m > prec raise.  b is kept reversed
+    and contiguous, since a reversed view gets no BLAS and is slower than
+    an int64 dot.  No int64 dot is kept: that bound reaches 2^53 only for
     halves far larger than memory.  Answers are not remembered: a query
     is recomputed each time, so a caller that reuses a count keeps it.
     """
@@ -376,46 +383,55 @@ class RepQuery:
     def __init__(self, form: QuadForm, prec: int, cache=None):
         self.prec = prec
         blocks = form.orthogonal_blocks()
-        blocks.sort(key=lambda b: b.rank, reverse=True)
-        halves = [[blocks[0]], []]
+        blocks.sort(key=attrgetter("rank"), reverse=True)
+        # each block joins the half of lower rank, the first on a tie
+        take, other = [blocks[0]], []
+        r_take, r_other = blocks[0].rank, 0
         for blk in blocks[1:]:
-            halves.sort(key=lambda part: sum(b.rank for b in part))
-            halves[0].append(blk)
-        self._halves = [tuple(half) for half in halves]
+            if r_other < r_take:
+                take, other, r_take, r_other = other, take, r_other, r_take
+            take.append(blk)
+            r_take += blk.rank
+        self._halves = (tuple(take), tuple(other))
         self._cache = cache
         self._built = -1
-        if not halves[1] or blocks[0].rank > 2:
+        if not other or blocks[0].rank > 2:
             self._build(prec)
 
     def _build(self, n: int) -> None:
         # free the old halves first, so old and new never coexist in memory
         self._a, self._b, self._built = None, None, -1
         if n < self.prec:
-            a = _half(self._halves[0], n)[:n + 1]
-            b = _half(self._halves[1], n)[n + 1:]
+            # whole memo arrays: a query reads a from the front of one
+            # and b from the back of the other
+            a, top_a = _half(self._halves[0], n)
+            b, top_b = _half(self._halves[1], n)
+            peak = top_a * top_b
         else:
             theta = _theta_sweep if self._cache is None else self._cache
             a, b = (_product([np.asarray(theta(blk, n), dtype=np.int64)
                               for blk in half], n)
                     for half in self._halves)
+            peak = 0  # a single half is queried by lookup, with no dot
             if len(b) > 1:
+                peak = int(a.max()) * int(b.max())
                 # converted one at a time, so at most three halves coexist
                 a = a.astype(np.float64)
                 b = np.ascontiguousarray(b[::-1], dtype=np.float64)
                 a.flags.writeable = b.flags.writeable = False
-        # float64 maxima are exact below 2^53, and at least 2^53 past it
-        if len(b) > 1 and int(a.max()) * int(b.max()) * (n + 1) >= _QUERY_GUARD:
+        if peak * (n + 1) >= _QUERY_GUARD:
             raise OverflowError("theta dot query could reach 2^53")
         self._a, self._b, self._built = a, b, n
 
     def count(self, m: int) -> int:
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        if m > self.prec:
-            raise ValueError(f"query {m} beyond precision {self.prec}")
-        if m > self._built:
+        if not 0 <= m <= self._built:
+            if m < 0:
+                raise ValueError("m must be nonnegative")
+            if m > self.prec:
+                raise ValueError(f"query {m} beyond precision {self.prec}")
             n = max(m, 4 * self._built, 64)
             self._build(self.prec if n > _PARTIAL_MAX else min(n, self.prec))
-        if len(self._b) == 1:
+        b = self._b
+        if len(b) == 1:
             return int(self._a[m])
-        return int(np.dot(self._a[:m + 1], self._b[len(self._b) - 1 - m:]))
+        return int(np.dot(self._a[:m + 1], b[len(b) - 1 - m:]))

@@ -28,6 +28,38 @@ def int_det(m) -> int:
     return sign * a[-1][-1]
 
 
+def bareiss_rows(h) -> list[list[int]]:
+    """The rows a form keeps: fraction-free (Bareiss) elimination of the
+    hessian h without pivoting, so the pivot a[i][i] is the leading minor
+    D_{i+1}.  Every entry is left as the generic loop leaves it, for any
+    h, diagonal or not."""
+    a = [[int(x) for x in row] for row in h]
+    k = len(a)
+    for i in range(k):
+        prev = a[i - 1][i - 1] if i else 1
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+    return a
+
+
+def orthogonal_components(h) -> list[tuple[tuple[int, ...], ...]]:
+    """The hessians of the connected components of the graph with an edge
+    i - j wherever h[i][j] is nonzero, in order of their first index."""
+    k = len(h)
+    label = list(range(k))
+    for i in range(k):
+        for j in range(i):
+            if h[i][j]:
+                old, new = label[i], label[j]
+                label = [new if x == old else x for x in label]
+    comps = {}
+    for i in range(k):
+        comps.setdefault(label[i], []).append(i)
+    return [tuple(tuple(h[i][j] for j in idx) for i in idx)
+            for idx in sorted(comps.values())]
+
+
 def spans_primitive(vectors, dim: int) -> bool:
     """The definition: the vectors extend to a basis of Z^dim exactly when
     the gcd of their maximal minors is 1."""

@@ -5,7 +5,9 @@ from itertools import permutations
 import pytest
 
 from qflab.forms import QuadForm, congruence_sublattice, parse_form
+from qflab.lattices import CLASSIFICATION_TABLE, all_bundled_forms
 from qflab.reduction import is_isometric
+from reference import bareiss_rows, orthogonal_components
 
 
 class TestQuadForm:
@@ -113,6 +115,104 @@ class TestQuadForm:
         for rank in (2.0, True, "2"):
             with pytest.raises(ValueError, match="rank field"):
                 parse_form(json.dumps({"rank": rank, "hessian": [[2, 1], [1, 2]]}))
+
+
+def _bundled_diagonals():
+    diagonals = {entry.diagonal for entry in CLASSIFICATION_TABLE}
+    for form in all_bundled_forms().values():
+        for blk in form.orthogonal_blocks():
+            h = blk.hessian
+            if all(h[i][j] == 0 for i in range(len(h)) for j in range(i)):
+                diagonals.add(tuple(h[i][i] // 2 for i in range(len(h))))
+    return sorted(diagonals)
+
+
+class TestDiagonalClosedForm:
+    """A hessian with no off-diagonal entries is eliminated in closed form
+    (its pivots are running products) and split into unary blocks with no
+    search.  Both must equal the generic elimination and the components
+    of the hessian, however the form is given."""
+
+    @staticmethod
+    def _constructions(qs):
+        k = len(qs)
+        hessian = [[2 * qs[i] if i == j else 0 for j in range(k)]
+                   for i in range(k)]
+        gram = [[qs[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        return hessian, [
+            QuadForm(tuple(map(tuple, hessian))),
+            QuadForm(hessian),
+            QuadForm.diagonal(qs),
+            QuadForm.from_gram(gram),
+            QuadForm.block_diag(*qs),
+            parse_form(",".join(map(str, qs))),
+            parse_form(json.dumps({"rank": k, "hessian": hessian})),
+        ]
+
+    @staticmethod
+    def _assert_matches_reference(form, hessian):
+        rows = bareiss_rows(hessian)
+        assert form._rows == rows, hessian
+        assert form.discriminant == rows[-1][-1]
+        blocks = form.orthogonal_blocks()
+        assert [blk.hessian for blk in blocks] == \
+            orthogonal_components(hessian)
+        for blk in blocks:
+            assert blk._rows == bareiss_rows(blk.hessian)
+
+    def test_random_diagonals_match_the_generic_elimination(self):
+        rng = random.Random(2110)
+        for _ in range(400):
+            qs = tuple(rng.randint(1, 10**6)
+                       for _ in range(rng.randint(1, 4)))
+            hessian, forms = self._constructions(qs)
+            for form in forms:
+                assert form == forms[0]
+                assert form.is_diagonal() and form.diag_q == qs
+                self._assert_matches_reference(form, hessian)
+
+    @pytest.mark.parametrize("qs", _bundled_diagonals())
+    def test_bundled_diagonals_match_the_generic_elimination(self, qs):
+        hessian, forms = self._constructions(qs)
+        for form in forms:
+            self._assert_matches_reference(form, hessian)
+
+    def test_forms_with_cross_terms_keep_the_generic_elimination(self):
+        """Hessians one cross entry away from diagonal, and random ones
+        with zero entries, are not taken for diagonal."""
+        rng = random.Random(2111)
+        checked = 0
+        while checked < 300:
+            k = rng.randint(2, 4)
+            h = [[0] * k for _ in range(k)]
+            for i in range(k):
+                h[i][i] = 2 * rng.randint(1, 9)
+            pairs = [(i, j) for i in range(k) for j in range(i)]
+            for i, j in rng.sample(pairs, rng.randint(1, len(pairs))):
+                h[i][j] = h[j][i] = rng.choice((-2, -1, 1, 3))
+            try:
+                form = QuadForm(h)
+            except ValueError:
+                continue
+            assert not form.is_diagonal()
+            self._assert_matches_reference(form, h)
+            checked += 1
+
+    @pytest.mark.parametrize("qs", [(1, 0), (1, -3), (1, 2.5), (0,),
+                                    (-1, 1, 1, 1), (2, 2, 2, 2, 2)])
+    def test_invalid_diagonals_still_raise(self, qs):
+        with pytest.raises(ValueError):
+            QuadForm.diagonal(qs)
+        k = len(qs)
+        with pytest.raises(ValueError):
+            QuadForm([[2 * qs[i] if i == j else 0 for j in range(k)]
+                      for i in range(k)])
+
+    def test_odd_diagonal_hessian_is_refused(self):
+        with pytest.raises(ValueError, match="even"):
+            QuadForm(((2, 0), (0, 3)))
+        with pytest.raises(ValueError, match="even"):
+            QuadForm(((-2, 0), (0, 3)))
 
 
 class TestCongruenceSublattice:

@@ -753,6 +753,26 @@ class TestRepQuery:
             with pytest.raises(OverflowError):
                 query.count(4000)
 
+    def test_query_guard_edge_at_a_partial_build(self):
+        """A partial build guards with both halves' maxima, read from the
+        memo: at exactly max(a) max(b) (n + 1) the build at 64 is refused,
+        one above it answers, on a cold and on a warm memo."""
+        form = QuadForm.diagonal((1, 2, 3, 10))
+        a_max, b_max = (
+            int(theta._product([theta._theta_sweep(blk, 64) for blk in half],
+                               64).max())
+            for half in RepQuery(form, 2500)._halves)
+        edge = a_max * b_max * 65
+        assert a_max > 1 and b_max > 1
+        for _ in range(2):
+            with mock.patch.object(theta, "_QUERY_GUARD", edge):
+                with pytest.raises(OverflowError):
+                    RepQuery(form, 2500).count(10)
+            with mock.patch.object(theta, "_QUERY_GUARD", edge + 1):
+                query = RepQuery(form, 2500)
+                assert query.count(10) == theta_coeffs(form, 10)[10]
+                assert query._built == 64
+
     @pytest.mark.parametrize("prec, a_max, b_max, fits", [
         (127, 1 << 23, 1 << 23, False),  # 2^46 (127 + 1) = 2^53
         (6360, 69431, 20394401, True),  # 6361 69431 20394401 = 2^53 - 1
@@ -784,11 +804,62 @@ class TestRepQuery:
             assert val == sum(a[i] * b[m - i] for i in range(m + 1))
 
     def test_bounds(self):
+        """m < 0 and m > prec raise before any build, after a partial and
+        after the full build, and leave the built halves answering."""
         query = RepQuery(QuadForm.diagonal((1, 2)), 10)
         with pytest.raises(ValueError):
             query.count(11)
         with pytest.raises(ValueError):
             query.count(-1)
+        form = QuadForm.diagonal((1, 2))
+        prec = 5000
+        coeffs = theta_coeffs(form, prec)
+        query = RepQuery(form, prec)
+        for m, built in ((10, 64), (prec, prec)):
+            assert query.count(m) == coeffs[m]
+            assert query._built == built
+            for bad in (-1, prec + 1):
+                with pytest.raises(ValueError):
+                    query.count(bad)
+            assert query._built == built
+            assert query.count(37) == coeffs[37]
+            assert query.count(built) == coeffs[built]
+
+    @pytest.mark.parametrize("form, halves", [
+        (QuadForm.diagonal((1, 2, 3, 10)),
+         ((((2,),), ((20,),)), (((4,),), ((6,),)))),
+        (QuadForm.diagonal((1, 1, 1, 1)),
+         ((((2,),), ((2,),)), (((2,),), ((2,),)))),
+        (QuadForm.block_diag(3, [[6, 3], [3, 9]], 9),
+         ((((6,),), ((18,),)), (((12, 6), (6, 18)),))),
+        (GENUS_PAIRS["1,1,3,5"].mate,
+         ((((2,),), ((2,),)), (((4, 2), (2, 16)),))),
+        (GENUS_PAIRS["1,2,3,10"].mate,
+         ((((2,),),), (((6, -2, 2), (-2, 10, 2), (2, 2, 10)),))),
+        (QuadForm.diagonal((1, 2, 5)),
+         ((((4,),), ((10,),)), (((2,),),))),
+    ], ids=["1,2,3,10", "1,1,1,1", "3+2+9", "1,1,3,5 mate",
+            "1,2,3,10 mate", "1,2,5"])
+    def test_halves_are_pinned(self, form, halves):
+        """The split of the blocks into halves, which decides which
+        partial halves the search shares through _half: blocks by rank,
+        largest first, each joining the half of lower rank (the first on
+        a tie)."""
+        seen = []
+        real = theta._half
+
+        def recording(blocks, n):
+            seen.append((blocks, n))
+            return real(blocks, n)
+
+        with mock.patch.object(theta, "_half", recording):
+            query = RepQuery(form, 2500)
+            assert query.count(10) == theta_coeffs(form, 10)[10]
+        got = tuple(tuple(blk.hessian for blk in half)
+                    for half in query._halves)
+        assert got == halves
+        if query._built < query.prec:
+            assert seen == [(query._halves[0], 64), (query._halves[1], 64)]
 
 
 class TestFloatDotQueries:
@@ -864,7 +935,7 @@ class TestHalfMemo:
             with pytest.raises(ValueError):
                 half[0] = 5
         with pytest.raises(ValueError):
-            theta._half(query._halves[0], 64)[1] += 1
+            theta._half(query._halves[0], 64)[0][1] += 1
         assert theta._half.cache_info().hits == 1
 
     def test_keys_are_partial_and_the_memo_bounded(self):
