@@ -23,7 +23,9 @@ lattice sums use.  `_product` is the one way to multiply theta arrays:
 <1,a> and those lattice sums fold their factors with it, through the
 int64 `_convolve_trunc`.  Partial `RepQuery` halves are memoised in
 `_half` and shared, read-only, by every query that builds them; a query
-is one float64 BLAS dot, exact under a 2^53 guard.
+is one BLAS dot, float32 for halves below 2^24, certified exact when
+its result is below 2^24 and else recomputed in float64, which a 2^53
+guard keeps exact.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .forms import QuadForm
 _FLUSH = 1 << 16
 _INT64_GUARD = 1 << 62
 _QUERY_GUARD = 1 << 53  # integers below it are exact in float64
+_F32_EXACT = 1 << 24  # integers below it are exact in float32
 # _convolve_trunc path choice and chunk size, see its docstring
 _SPARSE_MIN_WORK = 1 << 20
 _SPARSE_DENSITY = 16
@@ -287,17 +290,19 @@ def _product(arrays, prec: int) -> np.ndarray:
     return acc
 
 
-# partial builds stop at _PARTIAL_MAX: at most about 16 MB of float64 arrays
+# partial builds stop at _PARTIAL_MAX: at most about 8 MB of float32 arrays
 @lru_cache(maxsize=256)
 def _half(blocks: tuple[QuadForm, ...], n: int) -> tuple[np.ndarray, int]:
     """The theta product through n of a RepQuery half and then the same
-    reversed, as float64, with the product's maximum: a query takes a
-    from the front of one half and b from the back of the other, and the
-    maxima give its 2^53 guard without a rescan.  Shared read-only by
-    every query that builds the same half partially."""
+    reversed, with the product's maximum: a query takes a from the front
+    of one half and b from the back of the other, and the maxima give
+    its 2^53 guard without a rescan.  float32 when the maximum is below
+    2^24, else float64.  Shared read-only by every query that builds
+    the same half partially."""
     arr = _product([_theta_sweep(blk, n) for blk in blocks], n)
     top = int(arr.max())
-    arr = np.concatenate((arr, arr[::-1]), dtype=np.float64)
+    arr = np.concatenate((arr, arr[::-1]),
+                         dtype=np.float32 if top < _F32_EXACT else np.float64)
     arr.flags.writeable = False
     return arr, top
 
@@ -369,9 +374,18 @@ class RepQuery:
     built at prec at once.  Halves follow the form's own blocks, so a
     one-block form stays one array, a lookup, even when its sweep splits.
     Only the build at prec asks `cache`, one lookup per block.  A query is
-    one float64 BLAS dot, exact in any summation order: every build
-    raises OverflowError unless max(a) max(b) (n + 1), which bounds each
-    term and partial sum, is below 2^53 (a partial build reads the maxima
+    one BLAS dot.  Halves whose maxima are below 2^24 are float32 (every
+    half that fits in memory; at prec both share one dtype), and a
+    float32 result below 2^24 is certified exact: the terms are
+    nonnegative, so in any summation order, with or without FMA, each
+    step's exact value lies between 0 and the true total.  Rounding is
+    monotone and 2^24 is a float32, so once a step reaches 2^24 the
+    result stays there; a result below it means every step was an
+    integer below 2^24, which float32 holds exactly.  Any other float32
+    result is recomputed once as a float64 dot of the same slices.
+    float64 is exact in any summation order: every build raises
+    OverflowError unless max(a) max(b) (n + 1), which bounds each term
+    and partial sum, is below 2^53 (a partial build reads the maxima
     from `_half`).  A query within the built precision is answered
     before any other test; m < 0 and m > prec raise.  b is kept reversed
     and contiguous, since a reversed view gets no BLAS and is slower than
@@ -414,10 +428,14 @@ class RepQuery:
                     for half in self._halves)
             peak = 0  # a single half is queried by lookup, with no dot
             if len(b) > 1:
-                peak = int(a.max()) * int(b.max())
+                top_a, top_b = int(a.max()), int(b.max())
+                peak = top_a * top_b
+                # one dtype for both, so no query casts a half
+                dtype = (np.float32 if max(top_a, top_b) < _F32_EXACT
+                         else np.float64)
                 # converted one at a time, so at most three halves coexist
-                a = a.astype(np.float64)
-                b = np.ascontiguousarray(b[::-1], dtype=np.float64)
+                a = a.astype(dtype)
+                b = np.ascontiguousarray(b[::-1], dtype=dtype)
                 a.flags.writeable = b.flags.writeable = False
         if peak * (n + 1) >= _QUERY_GUARD:
             raise OverflowError("theta dot query could reach 2^53")
@@ -434,4 +452,8 @@ class RepQuery:
         b = self._b
         if len(b) == 1:
             return int(self._a[m])
-        return int(np.dot(self._a[:m + 1], b[len(b) - 1 - m:]))
+        a, b = self._a[:m + 1], b[len(b) - 1 - m:]
+        dot = np.dot(a, b)
+        if dot >= _F32_EXACT and dot.dtype == np.float32:
+            dot = np.dot(a.astype(np.float64), b.astype(np.float64))
+        return int(dot)

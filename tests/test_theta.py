@@ -862,14 +862,29 @@ class TestRepQuery:
             assert seen == [(query._halves[0], 64), (query._halves[1], 64)]
 
 
+def _int64_dot(query: RepQuery, top: int):
+    """r(m) for m <= top as the int64 dot of int64 halves that _product
+    makes afresh for query, not of the query's own float halves."""
+    a_int, b_int = (theta._product([theta._theta_sweep(blk, top)
+                                    for blk in half], top)
+                    for half in query._halves)
+    assert a_int.dtype == b_int.dtype == np.int64
+    return lambda m: int(np.dot(a_int[:m + 1], b_int[m::-1]))
+
+
+def _dot_dtypes(spy) -> list:
+    """The dtype of the first argument of every call an np.dot spy saw."""
+    return [call.args[0].dtype for call in spy.call_args_list]
+
+
 class TestFloatDotQueries:
     """Every dot query that is_strongly_s_regular asks equals the int64
     dot of int64 halves that _product makes afresh, not RepQuery's
-    float64 ones: the Table 1 forms at bound 600 and the genus pairs'
+    float32 ones: the Table 1 forms at bound 600 and the genus pairs'
     forms at bound 200 (their ternary blocks make 600 slow)."""
 
     @staticmethod
-    def _check(form: QuadForm, bound: int, passes: bool):
+    def _asked(form: QuadForm, bound: int, passes: bool):
         asked = []
         real = RepQuery.count
 
@@ -880,14 +895,14 @@ class TestFloatDotQueries:
         with mock.patch.object(RepQuery, "count", recording):
             assert is_strongly_s_regular(form, bound).passed == passes
         (query,) = {q for q, _, _ in asked}
-        assert query._b.dtype == np.float64 and len(query._b) > 1
-        top = max(m for _, m, _ in asked)
-        a_int, b_int = (theta._product([theta._theta_sweep(blk, top)
-                                        for blk in half], top)
-                        for half in query._halves)
-        assert a_int.dtype == b_int.dtype == np.int64
-        for _, m, val in asked:
-            assert val == int(np.dot(a_int[:m + 1], b_int[m::-1])), m
+        assert query._b.dtype == np.float32 and len(query._b) > 1
+        return query, [(m, val) for _, m, val in asked]
+
+    def _check(self, form: QuadForm, bound: int, passes: bool):
+        query, asked = self._asked(form, bound, passes)
+        expect = _int64_dot(query, max(m for m, _ in asked))
+        for m, val in asked:
+            assert val == expect(m), m
 
     @pytest.mark.parametrize("entry", CLASSIFICATION_TABLE,
                              ids=lambda e: ",".join(map(str, e.diagonal)))
@@ -899,6 +914,49 @@ class TestFloatDotQueries:
     @pytest.mark.parametrize("side", ["primary", "mate"])
     def test_genus_pair_forms(self, name, side):
         self._check(getattr(GENUS_PAIRS[name], side), 200, True)
+
+    def test_recompute_past_2_24(self):
+        """r_4(3,243,240) = 24 sigma(3^4 5 7 11 13) = 23,417,856 (Jacobi)
+        is past 2^24, so the float32 dot is recomputed in float64."""
+        m = 3_243_240
+        query = RepQuery(QuadForm.diagonal((1, 1, 1, 1)), m)
+        with mock.patch.object(np, "dot", wraps=np.dot) as spy:
+            assert query.count(m) == 23_417_856
+        assert query._a.dtype == query._b.dtype == np.float32
+        assert _dot_dtypes(spy) == [np.float32, np.float64]
+
+    def test_recompute_mends_a_rounded_dot(self):
+        """Flat odd halves 4097 and 4099 are float32, and their dot at
+        prec rounds in float32; the recompute returns the exact sum."""
+        prec = 6360
+
+        def flat_half(arrays, n):
+            # the half of <1> has r(1) = 2, the half of <2> r(1) = 0
+            return np.full(n + 1, 4097 if arrays[0][1] else 4099,
+                           dtype=np.int64)
+
+        with mock.patch.object(theta, "_product", flat_half):
+            query = RepQuery(QuadForm.diagonal((1, 2)), prec)
+            assert query.count(prec) == 4097 * 4099 * (prec + 1)
+        assert query._a.dtype == query._b.dtype == np.float32
+        assert int(np.dot(query._a, query._b)) != 4097 * 4099 * (prec + 1)
+
+    @pytest.mark.parametrize("entry", CLASSIFICATION_TABLE,
+                             ids=lambda e: ",".join(map(str, e.diagonal)))
+    def test_every_dot_recomputed(self, entry):
+        """With the certificate's threshold at 0, every query of the
+        halves a check at bound 200 left behind (partial for a failing
+        form, at prec for a passing one) takes the float64 recompute and
+        still equals the int64 dot."""
+        query, asked = self._asked(QuadForm.diagonal(entry.diagonal), 200,
+                                   entry.expected_pass)
+        expect = _int64_dot(query, max(m for m, _ in asked))
+        expected = [(m, val, expect(m)) for m, val in asked]
+        with mock.patch.object(theta, "_F32_EXACT", 0), \
+                mock.patch.object(np, "dot", wraps=np.dot) as spy:
+            for m, val, ref in expected:
+                assert query.count(m) == val == ref, m
+        assert _dot_dtypes(spy) == [np.float32, np.float64] * len(asked)
 
 
 def _memo_test_forms(rng: random.Random, count: int) -> list[QuadForm]:
@@ -1015,6 +1073,22 @@ class TestHalfMemo:
                 assert calls == expected, spec
                 calls.clear()
         assert theta._half.cache_info().hits > 0
+
+    def test_float32_answers_on_random_forms(self):
+        """Sums of two binary forms, odd cross terms included: at each
+        partial build and at the build at prec, the halves are float32
+        and every answer equals the int64 dot of _product halves."""
+        prec = 5000
+        forms = _memo_test_forms(random.Random(2202), 24)[::2]
+        for form in forms:
+            query = RepQuery(form, prec)
+            expect = _int64_dot(query, prec)
+            for built in (64, 256, 1024, 4096, prec):
+                query.count(built)
+                assert query._built == built
+                assert query._a.dtype == query._b.dtype == np.float32
+                for m in range(built + 1):
+                    assert query.count(m) == expect(m), (form, m)
 
 
 _dense_arrays = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=60)
