@@ -1,86 +1,103 @@
 """Minkowski reduction, isometry testing and canonical forms, rank <= 4.
 
-Reduction picks, slot by slot, the shortest vector that keeps the chosen
-set extendable to a basis; for rank at most 4 that basis attains the
-successive minima, which gives the classical reduction inequalities
-(sorted diagonal, |H_ij| <= H_ii / 2 for i < j) for free.
+Reduction is Nguyen and Stehle's greedy algorithm (ANTS 2004): reduce
+the first d - 1 basis vectors recursively, replace the last by its
+difference from the closest vector of their span, sort, and repeat
+until the last vector stops getting shorter.  For rank at most 4 the
+result attains the successive minima, with the classical reduction
+inequalities (sorted diagonal, |H_ij| <= H_ii / 2 for i < j).  The
+closest vector is exact: the LDL^T of the Gram, kept in integers by
+its fraction-free elimination, is walked outward from the rational
+centre, nearest coordinate first, cutting a branch once its partial sum
+reaches the best leaf so far.  Nothing is enumerated.
+
+Canonical forms and isometry both read one search: the smallest Gram
+over the bases that attain the successive minima.
 """
 
 from __future__ import annotations
 
-from ._matrix import conjugate, extends_to_basis, identity, mat_mul
+from itertools import count
+from math import prod
+from operator import mul
+
+from ._matrix import conjugate, extends_to_basis
 from .forms import QuadForm
 from .theta import short_vectors
 
 
-def _pair_reduce(form: QuadForm) -> tuple[QuadForm, list[list[int]]]:
-    """Cheap exact size reduction: shear each basis vector against the
-    others while that strictly shortens it.  Keeps the diagonal small so
-    the short-vector sweep below stays cheap on badly skewed inputs."""
-    k = form.rank
-    h = [list(row) for row in form.hessian]
-    u = identity(k)
+def _closest(g) -> list[int]:
+    """Integer x minimising |b_n - sum_i x_i b_i| for the Gram g of the
+    independent b_0, .., b_n."""
+    n = len(g) - 1
+    # with the fraction-free rows r of g and its leading minors D_i,
+    # |z|^2 = sum_i l_i(z)^2 / (D_i D_{i+1}), l_i(z) = sum_{j >= i} r[i][j] z_j;
+    # here z = (x, -1), and each term is scaled to an integer by weight[i]
+    r = QuadForm(tuple(map(tuple, g)))._rows
+    dets = [1] + [r[i][i] for i in range(n)]
+    scale = prod(dets[i] * dets[i + 1] for i in range(n))
+    weight = [scale // (dets[i] * dets[i + 1]) for i in range(n)]
+    x = [0] * n
+    best: list = [None, None]
 
-    def shear(dst, src, t):
-        for r in range(k):
-            u[r][dst] -= t * u[r][src]
-        for r in range(k):
-            h[r][dst] -= t * h[r][src]
-        for c in range(k):
-            h[dst][c] -= t * h[src][c]
+    def walk(i: int, partial: int):
+        if i < 0:
+            best[:] = [partial, list(x)]
+            return
+        d = dets[i + 1]
+        s = sum(r[i][j] * x[j] for j in range(i + 1, n)) - r[i][n]
+        # l_i = d t + s: t runs outward from the nearest integer to the
+        # centre -s / d, so |l_i| never decreases
+        near = (d - 2 * s) // (2 * d)
+        side = 1 if d * near + s <= 0 else -1
+        for step in count():
+            t = near + side * ((step + 1) // 2) * (1 if step % 2 else -1)
+            total = partial + weight[i] * (d * t + s) ** 2
+            if best[0] is not None and total >= best[0]:
+                return
+            x[i] = t
+            walk(i - 1, total)
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(k):
-                if i == j or 2 * abs(h[i][j]) <= h[i][i]:
-                    continue
-                t = (2 * h[i][j] + h[i][i]) // (2 * h[i][i])
-                if t and 2 * abs(h[i][j] - t * h[i][i]) <= h[i][i]:
-                    shear(j, i, t)
-                    changed = True
-    return QuadForm(tuple(tuple(row) for row in h)), u
+    walk(n - 1, 0)
+    return best[1]
 
 
 def minkowski_reduce(form: QuadForm) -> tuple[QuadForm, list[list[int]]]:
     """Reduced form and the unimodular U with U^T H U = H_reduced."""
+    h = form.hessian
     k = form.rank
-    original = form
-    form, pre_u = _pair_reduce(form)
-    pool = short_vectors(form, max(form.diag_q))
-    values = sorted(pool)
-    chosen: list[tuple[int, ...]] = []
-    for _ in range(k):
-        picked = None
-        for val in values:
-            for vec in pool[val]:
-                if extends_to_basis(chosen + [vec], k):
-                    picked = vec
-                    break
-            if picked is not None:
-                break
-        if picked is None:
-            raise RuntimeError("reduction failed to complete a basis")
-        chosen.append(picked)
-    u = [[chosen[c][r] for c in range(k)] for r in range(k)]
-    total = mat_mul(pre_u, u)
-    reduced = QuadForm(
-        tuple(tuple(row) for row in conjugate(original.hessian, total)))
-    return reduced, total
+
+    def dot(u, v) -> int:
+        return sum(a * sum(map(mul, row, v)) for a, row in zip(u, h))
+
+    def greedy(basis):
+        if len(basis) <= 1:
+            return basis
+        while True:
+            basis.sort(key=lambda v: dot(v, v))
+            head = greedy(basis[:-1])
+            last = basis[-1]
+            x = _closest([[dot(u, v) for v in head + [last]]
+                          for u in head + [last]])
+            last = [c - sum(xi * u[r] for xi, u in zip(x, head))
+                    for r, c in enumerate(last)]
+            basis = head + [last]
+            if dot(last, last) >= dot(head[-1], head[-1]):
+                return basis
+
+    basis = greedy([[int(r == c) for r in range(k)] for c in range(k)])
+    u = [[basis[c][r] for c in range(k)] for r in range(k)]
+    return QuadForm(tuple(tuple(row) for row in conjugate(h, u))), u
 
 
-def _assignment_search(target_h, source: QuadForm, collect_min: bool):
-    """Backtracking search for integer bases of `source` whose Gram matrix
-    matches target_h (decision mode) or minimizes the Gram lexicographically
-    among bases attaining the target diagonal (canonical mode)."""
-    k = len(target_h)
-    hs = source.hessian
-    need = [target_h[i][i] // 2 for i in range(k)]
-    pool = short_vectors(source, max(need))
-    for value in set(need):
-        if value not in pool:
-            return None
+def _least_gram(reduced: QuadForm) -> tuple[int, ...]:
+    """The lexicographically smallest off-diagonal entries (column by
+    column, above the diagonal) of the Gram of a basis attaining the
+    successive minima of a reduced form."""
+    k = reduced.rank
+    hs = reduced.hessian
+    need = [hs[i][i] // 2 for i in range(k)]
+    pool = short_vectors(reduced, max(need))
     candidates = {v: [vec for base in pool[v] for vec in (base, tuple(-c for c in base))]
                   for v in set(need)}
 
@@ -90,19 +107,6 @@ def _assignment_search(target_h, source: QuadForm, collect_min: bool):
     best: list[tuple[int, ...] | None] = [None]
     chosen: list[tuple[int, ...]] = []
     trail: list[int] = []
-
-    def decide(slot: int) -> bool:
-        if slot == k:
-            return True
-        for vec in candidates[need[slot]]:
-            if all(pairing(vec, chosen[i]) == target_h[i][slot] for i in range(slot)):
-                if not extends_to_basis(chosen + [vec], k):
-                    continue
-                chosen.append(vec)
-                if decide(slot + 1):
-                    return True
-                chosen.pop()
-        return False
 
     def minimize(slot: int):
         if slot == k:
@@ -127,25 +131,19 @@ def _assignment_search(target_h, source: QuadForm, collect_min: bool):
             del trail[len(trail) - len(entries):]
             chosen.pop()
 
-    if collect_min:
-        minimize(0)
-        return best[0]
-    return decide(0)
+    minimize(0)
+    return best[0]
 
 
 def is_isometric(a: QuadForm, b: QuadForm) -> bool:
     """True iff an integral unimodular change of basis maps a to b."""
-    if a.rank != b.rank:
-        return False
-    if a.discriminant != b.discriminant:
+    if a.rank != b.rank or a.discriminant != b.discriminant:
         return False
     ra, _ = minkowski_reduce(a)
     rb, _ = minkowski_reduce(b)
     if ra.diag_q != rb.diag_q:
         return False
-    if ra.hessian == rb.hessian:
-        return True
-    return bool(_assignment_search(ra.hessian, rb, collect_min=False))
+    return ra.hessian == rb.hessian or _least_gram(ra) == _least_gram(rb)
 
 
 def canonical_form(form: QuadForm) -> QuadForm:
@@ -154,14 +152,10 @@ def canonical_form(form: QuadForm) -> QuadForm:
     successive minima on the diagonal."""
     reduced, _ = minkowski_reduce(form)
     k = reduced.rank
-    flat = _assignment_search(reduced.hessian, reduced, collect_min=True)
-    if flat is None:
-        raise RuntimeError("canonicalization found no basis")
+    flat = iter(_least_gram(reduced))
     h = [[0] * k for _ in range(k)]
-    pos = 0
     for j in range(k):
         for i in range(j):
-            h[i][j] = h[j][i] = flat[pos]
-            pos += 1
+            h[i][j] = h[j][i] = next(flat)
         h[j][j] = reduced.hessian[j][j]
     return QuadForm(tuple(tuple(row) for row in h))

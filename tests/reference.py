@@ -3,7 +3,9 @@
 from itertools import combinations
 from math import gcd
 
-from qflab.theta import _tails
+from qflab._matrix import conjugate, extends_to_basis, identity, mat_mul
+from qflab.forms import QuadForm
+from qflab.theta import _tails, short_vectors
 
 
 def int_det(m) -> int:
@@ -130,3 +132,99 @@ def tails_theta(form, prec: int) -> list[int]:
             for t in range(lo, hi):
                 out[(a2 * t + a1) * t + a0] += 1
     return out
+
+
+def pair_reduce(form: QuadForm) -> tuple[QuadForm, list[list[int]]]:
+    """Cheap exact size reduction: shear each basis vector against the
+    others while that strictly shortens it.  Keeps the diagonal small so
+    the short-vector pool of pool_minkowski_reduce stays cheap on skewed
+    inputs (but not on all of them)."""
+    k = form.rank
+    h = [list(row) for row in form.hessian]
+    u = identity(k)
+
+    def shear(dst, src, t):
+        for r in range(k):
+            u[r][dst] -= t * u[r][src]
+        for r in range(k):
+            h[r][dst] -= t * h[r][src]
+        for c in range(k):
+            h[dst][c] -= t * h[src][c]
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            for j in range(k):
+                if i == j or 2 * abs(h[i][j]) <= h[i][i]:
+                    continue
+                t = (2 * h[i][j] + h[i][i]) // (2 * h[i][i])
+                if t and 2 * abs(h[i][j] - t * h[i][i]) <= h[i][i]:
+                    shear(j, i, t)
+                    changed = True
+    return QuadForm(tuple(tuple(row) for row in h)), u
+
+
+def pool_minkowski_reduce(form: QuadForm) -> tuple[QuadForm, list[list[int]]]:
+    """Minkowski reduction by enumeration: after pair_reduce, list every
+    vector up to the largest diagonal entry and pick, slot by slot, the
+    shortest one that keeps the chosen set extendable to a basis; for
+    rank at most 4 that basis attains the successive minima.  Returns
+    the reduced form and U with U^T H U = H_reduced."""
+    k = form.rank
+    original = form
+    form, pre_u = pair_reduce(form)
+    pool = short_vectors(form, max(form.diag_q))
+    chosen: list[tuple[int, ...]] = []
+    for _ in range(k):
+        chosen.append(next(vec for val in sorted(pool) for vec in pool[val]
+                           if extends_to_basis(chosen + [vec], k)))
+    total = mat_mul(pre_u, [[chosen[c][r] for c in range(k)]
+                            for r in range(k)])
+    reduced = QuadForm(
+        tuple(tuple(row) for row in conjugate(original.hessian, total)))
+    return reduced, total
+
+
+def decide_isometric(a: QuadForm, b: QuadForm) -> bool:
+    """Isometry by a decision search: after the rank, discriminant and
+    reduced-diagonal checks, backtrack over bases of b's reduced form,
+    slot by slot from its short vectors, for one whose Gram equals a's
+    reduced Gram."""
+    if a.rank != b.rank or a.discriminant != b.discriminant:
+        return False
+    ra, _ = pool_minkowski_reduce(a)
+    rb, _ = pool_minkowski_reduce(b)
+    if ra.diag_q != rb.diag_q:
+        return False
+    target = ra.hessian
+    k = len(target)
+    hs = rb.hessian
+    need = [target[i][i] // 2 for i in range(k)]
+    pool = short_vectors(rb, max(need))
+    if any(value not in pool for value in need):
+        return False
+    candidates = {v: [vec for base in pool[v]
+                      for vec in (base, tuple(-c for c in base))]
+                  for v in set(need)}
+
+    def pairing(x, y) -> int:
+        return sum(x[i] * hs[i][j] * y[j] for i in range(k) for j in range(k))
+
+    chosen: list[tuple[int, ...]] = []
+
+    def decide(slot: int) -> bool:
+        if slot == k:
+            return True
+        for vec in candidates[need[slot]]:
+            if all(pairing(vec, chosen[i]) == target[i][slot]
+                   for i in range(slot)):
+                if not extends_to_basis(chosen + [vec], k):
+                    continue
+                chosen.append(vec)
+                if decide(slot + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return decide(0)

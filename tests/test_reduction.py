@@ -1,11 +1,70 @@
+import hashlib
+import importlib.util
 import random
+from pathlib import Path
+from unittest import mock
 
+import pytest
+
+from qflab import theta
 from qflab._matrix import conjugate, extends_to_basis
 from qflab.forms import QuadForm
-from qflab.reduction import canonical_form, is_isometric, minkowski_reduce
+from qflab.lattices import all_bundled_forms
+from qflab.reduction import (_closest, canonical_form, is_isometric,
+                             minkowski_reduce)
+from qflab.theta import short_vectors, theta_coeffs
 
-from reference import spans_primitive
-from test_theta import conjugated, random_unimodular
+from reference import decide_isometric, pool_minkowski_reduce, spans_primitive
+from test_theta import A4, conjugated, random_definite, random_unimodular
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED_CANON = ("daed4509ee865d6eb69e71a4e212e0b1"
+                "1a3fea29a112a22a2633d801b8632637")
+D4 = QuadForm(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+
+
+def bench_workloads():
+    """perfbench/workloads.py, for the seeded unit upper-triangular
+    conjugates that the benchmark's workloads reduce."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def differential_forms() -> list[QuadForm]:
+    """Random unimodular conjugates of ranks 2-4, the bundled forms with
+    two seeded unit upper-triangular conjugates of each, A4, D4 and
+    <1,1,1,1>."""
+    unitriangular_conjugate = bench_workloads().unitriangular_conjugate
+    rng = random.Random(2300)
+    forms = [A4, D4, QuadForm.diagonal((1, 1, 1, 1))]
+    for k in (2, 3, 4):
+        for _ in range(10):
+            diag = QuadForm.diagonal([rng.randint(1, 9) for _ in range(k)])
+            forms.append(conjugated(diag, random_unimodular(rng, k)))
+            forms.append(random_definite(rng, k))
+    for name, base in sorted(all_bundled_forms().items()):
+        forms.append(base)
+        for seed in range(2):
+            forms.append(unitriangular_conjugate(
+                base, random.Random(f"{name}/{seed}"), 2))
+    return forms
+
+
+def assert_reduced(form: QuadForm, red: QuadForm, u) -> None:
+    """U^T H U is the returned form, U is unimodular, and the reduction
+    inequalities hold: sorted diagonal, |H_ij| <= H_ii / 2 for i < j."""
+    h = red.hessian
+    k = red.rank
+    assert tuple(tuple(r) for r in conjugate(form.hessian, u)) == h
+    assert red.discriminant == form.discriminant
+    diag = [h[i][i] for i in range(k)]
+    assert diag == sorted(diag)
+    for i in range(k):
+        for j in range(i + 1, k):
+            assert 2 * abs(h[i][j]) <= h[i][i], h
 
 
 class TestExtendsToBasis:
@@ -32,6 +91,26 @@ class TestExtendsToBasis:
             assert extends_to_basis(vectors, dim) == spans_primitive(vectors, dim), vectors
 
 
+class TestClosestVector:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_against_the_walker(self, seed):
+        """For the basis b_0, .., b_n of a form, b_n minus its closest
+        vector in the span of the others is a shortest lattice vector
+        whose last coordinate is +-1; the walker lists them all.  On
+        these unreduced bases the first leaf (Babai's nearest plane) is
+        often not the closest."""
+        rng = random.Random(2400 + seed)
+        for k in (2, 3, 4):
+            for _ in range(8):
+                form = random_definite(rng, k)
+                x = _closest(form.hessian)
+                q = form.evaluate((*(-c for c in x), 1))
+                pool = short_vectors(form, q)
+                assert q == min(value for value, vecs in pool.items()
+                                if any(abs(v[-1]) == 1 for v in vecs)), \
+                    form.hessian
+
+
 class TestMinkowskiReduce:
     def test_examples(self):
         red, u = minkowski_reduce(QuadForm(((2, 2), (2, 4))))
@@ -54,14 +133,57 @@ class TestMinkowskiReduce:
             seed = rng.choice(seeds)
             form = conjugated(seed, random_unimodular(rng, seed.rank))
             red, u = minkowski_reduce(form)
-            h = red.hessian
-            k = red.rank
-            assert tuple(tuple(r) for r in conjugate(form.hessian, u)) == h
-            diag = [h[i][i] for i in range(k)]
-            assert diag == sorted(diag)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    assert 2 * abs(h[i][j]) <= h[i][i]
+            assert_reduced(form, red, u)
+
+    @pytest.mark.parametrize("e", [20, 28])
+    def test_skewed_split_form_needs_no_walk(self, e):
+        """The conjugate of <1, 2^e, 2^e, 1> by the all-ones upper
+        triangle reduces with no lattice walk (enumerating up to its
+        largest diagonal entry, about 2^(e+1), took 71 s at e = 20), to
+        the diagonal form, whose theta it then has."""
+        skew = [[int(r <= c) for c in range(4)] for r in range(4)]
+        form = conjugated(QuadForm.diagonal((1, 2**e, 2**e, 1)), skew)
+        with mock.patch.object(theta, "_tails",
+                               side_effect=AssertionError("lattice walk")):
+            red, u = minkowski_reduce(form)
+        assert red.diag_q == (1, 1, 2**e, 2**e)
+        assert_reduced(form, red, u)
+        assert theta_coeffs(form, 10) == \
+            theta_coeffs(QuadForm.diagonal((1, 1, 2**e, 2**e)), 10)
+
+
+class TestAgainstReference:
+    """The greedy reduction and the one basis search against the
+    enumeration-based reduction and the decision search they replaced
+    (tests/reference.py)."""
+
+    FORMS = differential_forms()
+
+    def test_successive_minima_without_a_walk(self):
+        for form in self.FORMS:
+            with mock.patch.object(theta, "_tails",
+                                   side_effect=AssertionError("lattice walk")):
+                red, u = minkowski_reduce(form)
+            assert red.diag_q == pool_minkowski_reduce(form)[0].diag_q, \
+                form.hessian
+            assert_reduced(form, red, u)
+
+    def test_canonical_forms_are_pinned(self):
+        """canonical_form is byte-identical to the enumeration-based
+        reduction's on every form (the digest was taken with it), so
+        form_hash and cached theta entries keep their names."""
+        canon = repr([canonical_form(form).hessian for form in self.FORMS])
+        assert hashlib.sha256(canon.encode()).hexdigest() == PINNED_CANON
+
+    def test_is_isometric_agrees_with_decision_search(self):
+        pairs = 0
+        for i, a in enumerate(self.FORMS):
+            for b in self.FORMS[i + 1:]:
+                if a.rank == b.rank and a.discriminant == b.discriminant:
+                    pairs += 1
+                    assert is_isometric(a, b) == decide_isometric(a, b), \
+                        (a.hessian, b.hessian)
+        assert pairs > 100
 
 
 class TestIsIsometric:
@@ -120,8 +242,9 @@ class TestCanonicalForm:
             for b in pool[i + 1:]:
                 if a.rank != b.rank or a.discriminant != b.discriminant:
                     continue
-                assert is_isometric(a, b) == \
-                    (canonical_form(a) == canonical_form(b))
+                same = canonical_form(a) == canonical_form(b)
+                assert decide_isometric(a, b) == same
+                assert is_isometric(a, b) == same
 
     def test_handles_badly_sheared_input(self):
         rng = random.Random(7)
