@@ -10,7 +10,9 @@ passes over the sparse pentagonal terms of Euler's product, in int64
 until a bound says a value could leave it, then in Python ints.  The
 closed forms it is checked against (the classical unary identities and
 the level-120 quotient coefficients) are `_product`s of theta.py's
-twisted unary thetas `_theta_unary`, so the two sides share no kernel.
+twisted unary thetas, by their nonzero terms `_unary_terms` (or as the
+arrays `_theta_unary` where a sum is read off directly), so the two
+sides share no kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .arith import factorize, kronecker
-from .theta import _product, _theta_unary
+from .theta import _product, _theta_unary, _unary_terms
 
 
 @dataclass(frozen=True)
@@ -343,7 +345,7 @@ def quotient_coefficient(i: int, n: int) -> int:
     table = _QUOTIENT_TABLES.get(i)
     if table is None or len(table) <= m:
         prec = max(2 * m, 1024)
-        arrays = [_theta_unary(a, prec, char, weight)
+        arrays = [_unary_terms(a, prec, char, weight)
                   for a, char, weight in factors]
         if i == 3:
             arrays.append(_divisor_series(160, prec))

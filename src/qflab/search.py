@@ -21,7 +21,7 @@ import numpy as np
 from .arith import h_factor
 from .forms import QuadForm
 from .regularity import RegularityReport, is_strongly_s_regular
-from .theta import _product, _theta_unary
+from .theta import _product, _unary_terms
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def _filter_pass(a: int, c_max: int, primes):
     bs, cs = np.triu_indices(c_max - a + 1)
     bs += a
     cs += a
-    front = _product([_theta_unary(1, 121), _theta_unary(a, 121)], 121)
+    front = _product([_unary_terms(1, 121), _unary_terms(a, 121)], 121)
     r1 = 2 * (1 + (a == 1) + (bs == 1) + (cs == 1))
     keep = np.ones(len(bs), dtype=bool)
     for p in primes:

@@ -16,12 +16,17 @@ parts' sweeps where that basis splits: a skewed basis of a split lattice
 is never walked whole.  `represent_count` and `short_vectors` walk the
 basis they are given.
 
-`_theta_unary` is the one square-series kernel: the theta of <a>, or
-its twist by a Kronecker character and s^weight, which the q-series
-lattice sums use.  `_product` is the one way to multiply theta arrays:
-`theta_coeffs`, both halves of `RepQuery`, the search filters' theta of
-<1,a> and those lattice sums fold their factors with it, through the
-int64 `_convolve_trunc`.  Partial `RepQuery` halves are memoised in
+`_unary_terms` is the one square-series kernel: the nonzero terms
+(positions a t^2 and their values) of the theta of <a>, or of its twist
+by a Kronecker character and s^weight, which the q-series lattice sums
+use; `_theta_unary` scatters them into an array for callers that index
+into it.  `_product` is the one way to multiply thetas: `theta_coeffs`,
+both halves of `RepQuery`, the search filters' theta of <1,a> and those
+lattice sums fold their factors with it, through the int64
+`_convolve_trunc`.  A factor is an array or its `_Terms`; unary blocks
+come as terms (`_block_factor`), so a product of unary thetas, as in
+every Table 1 half, reads only their nonzero terms, and an array is
+scanned once for its own.  Partial `RepQuery` halves are memoised in
 `_half` and shared, read-only, by every query that builds them; a query
 is one BLAS dot, float32 for halves below 2^24, certified exact when
 its result is below 2^24 and else recomputed in float64, which a 2^53
@@ -33,6 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,24 +164,74 @@ def _tails(form: QuadForm, bound: int):
                      np.full(1, 2 * bound * m[-1][-1], dtype=dtype))
 
 
+class _Terms(NamedTuple):
+    """A coefficient array by its nonzero terms: positions idx in
+    increasing order and their values vals.  size is the length of the
+    array, and dense the array itself when there is one."""
+    idx: np.ndarray
+    vals: np.ndarray
+    size: int
+    dense: np.ndarray | None = None
+
+
+def _terms(factor) -> _Terms:
+    """A _product factor, a coefficient array or its _Terms, as _Terms:
+    an array costs one scan, terms nothing."""
+    if isinstance(factor, _Terms):
+        return factor
+    idx = np.flatnonzero(factor)
+    return _Terms(idx, factor[idx], len(factor), factor)
+
+
+def _dense(factor) -> np.ndarray:
+    """A _product factor as a coefficient array: terms without one are
+    scattered into zeros."""
+    if not isinstance(factor, _Terms):
+        return factor
+    if factor.dense is not None:
+        return factor.dense
+    out = np.zeros(factor.size, dtype=np.int64)
+    out[factor.idx] = factor.vals
+    return out
+
+
+def _unary_terms(a: int, prec: int, char: int = 1, weight: int = 0) -> _Terms:
+    """The nonzero terms through q^prec of the twisted unary theta
+    sum over s in Z of kronecker(char, s) s^weight q^(a s^2), at the
+    positions a t^2, t >= 0; the default is the theta series of <a>."""
+    t = np.arange(isqrt(prec // a) + 1)
+    if char == 1 and weight == 0:
+        vals = np.empty(len(t), dtype=np.int64)
+        vals.fill(2)
+        vals[0] = 1
+        t *= t
+        t *= a
+        return _Terms(t, vals, prec + 1)
+    if (-1 if char < 0 else 1) * (-1) ** weight == 1:
+        # the term of s = -t is (char|-1) (-1)^weight times that of s = t,
+        # so the two double or cancel
+        vals = np.array([2 * kronecker(char, s) * s ** weight
+                         for s in t.tolist()], dtype=np.int64)
+    else:
+        vals = np.zeros(len(t), dtype=np.int64)
+    vals[0] = kronecker(char, 0) * 0 ** weight  # s = 0 is counted once
+    keep = np.flatnonzero(vals)
+    return _Terms(a * t[keep] ** 2, vals[keep], prec + 1)
+
+
 def _theta_unary(a: int, prec: int, char: int = 1,
                  weight: int = 0) -> np.ndarray:
-    """Coefficients through q^prec of the twisted unary theta
-    sum over s in Z of kronecker(char, s) s^weight q^(a s^2); the
-    default is the theta series of <a>."""
-    out = np.zeros(prec + 1, dtype=np.int64)
-    top = isqrt(prec // a)
-    if char == 1 and weight == 0:
-        out[a * np.arange(1, top + 1) ** 2] = 2
-        out[0] = 1
-        return out
-    out[0] = kronecker(char, 0) * 0 ** weight
-    # the term of s = -t is (char|-1) (-1)^weight times that of s = t,
-    # so the two double or cancel
-    if (-1 if char < 0 else 1) * (-1) ** weight == 1:
-        for t in range(1, top + 1):
-            out[a * t * t] = 2 * kronecker(char, t) * t ** weight
-    return out
+    """The coefficients of _unary_terms(a, prec, char, weight), for
+    callers that index into them."""
+    return _dense(_unary_terms(a, prec, char, weight))
+
+
+def _block_factor(form: QuadForm, prec: int):
+    """The theta of a block through prec as a _product factor: the terms
+    of a unary block, else the block's _theta_sweep."""
+    if form.rank == 1:
+        return _unary_terms(form.hessian[0][0] // 2, prec)
+    return _theta_sweep(form, prec)
 
 
 @lru_cache(maxsize=256)
@@ -194,7 +250,8 @@ def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
     if form.rank >= 3:
         parts = _reduced_blocks(form)
         if len(parts) > 1:
-            return _product([_theta_sweep(sub, prec) for sub in parts], prec)
+            return _product([_block_factor(sub, prec) for sub in parts],
+                            prec)
         form = parts[0]
     a2 = form.hessian[0][0] // 2
     if form.rank == 1:
@@ -211,48 +268,50 @@ def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
     return counts
 
 
-def _convolve_trunc(a: np.ndarray, b: np.ndarray, prec: int) -> np.ndarray:
-    """Truncated product of two coefficient arrays, exact.
+def _convolve_trunc(a, b, prec: int) -> np.ndarray:
+    """Truncated product of two factors, exact: each a coefficient array
+    or its _Terms.  An array costs one scan for its nonzero terms, and
+    terms cost none; the terms serve the guard, the path test and the
+    sparse product.
 
-    With a the longer factor and top = min(len(a) - 1, prec), one of two
-    int64 paths gives the result:
+    With a the longer factor (by the length of its array) and
+    top = min(len(a) - 1, prec), one of two int64 paths gives the result:
 
     - shift-add: out[i:] += b_i * a once per nonzero b_i, about
-      nnz(b) * (top + 1) element operations;
+      nnz(b) * (top + 1) element operations, on a's array (terms of a
+      are scattered into one);
     - sparse product: every pair of nonzeros a_j, b_i is scattered into
       out[i + j], nnz(a) * nnz(b) pairs (see _convolve_sparse).
 
     The sparse product is taken when the shift-add work
     nnz(b) * (top + 1) is at least _SPARSE_MIN_WORK and at most one
-    entry in _SPARSE_DENSITY of a[:top + 1] is nonzero.  The work test
-    uses sizes already at hand, so the many small products (search
-    halves at precision 2,500) stay on the loop and never pay for the
-    nonzero scan of a, nor for the fixed cost of np.add.at.  For two
-    unary thetas the nonzero pairs are the lattice points of the binary
-    form up to sign, so a two-unary half costs O(N) instead of
-    O(N^1.5).  A product whose coefficients could reach _INT64_GUARD
+    entry in _SPARSE_DENSITY of a[:top + 1] is nonzero, so the many
+    small products (search halves at precision 2,500) stay on the loop
+    and never pay for the fixed cost of np.add.at.  For two unary thetas
+    the nonzero pairs are the lattice points of the binary form up to
+    sign, so a two-unary half costs O(N) instead of O(N^1.5).  A product
+    whose coefficients could reach _INT64_GUARD, by the terms' values,
     raises OverflowError before either path.
     """
-    if len(a) < len(b):
+    a, b = _terms(a), _terms(b)
+    if a.size < b.size:
         a, b = b, a
-    idx = np.flatnonzero(b)
-    vals = b[idx]
-    bound = (int(np.abs(a).max(initial=0))
-             * sum(abs(v) for v in vals.tolist()))
+    bound = (int(np.abs(a.vals).max(initial=0))
+             * sum(abs(v) for v in b.vals.tolist()))
     if bound >= _INT64_GUARD:
         raise OverflowError("theta convolution would exceed int64")
-    top = min(len(a) - 1, prec)
-    if len(idx) * (top + 1) >= _SPARSE_MIN_WORK:
-        nz = np.flatnonzero(a[:top + 1])
-        if len(nz) * _SPARSE_DENSITY <= top + 1:
-            keep = idx <= prec
-            return _convolve_sparse(nz, a[nz], idx[keep], vals[keep], prec)
+    top = min(a.size - 1, prec)
+    rows = int(b.idx.searchsorted(prec, side="right"))  # b's terms <= prec
+    if len(b.idx) * (top + 1) >= _SPARSE_MIN_WORK:
+        cols = int(a.idx.searchsorted(top, side="right"))
+        if cols * _SPARSE_DENSITY <= top + 1:
+            return _convolve_sparse(a.idx[:cols], a.vals[:cols],
+                                    b.idx[:rows], b.vals[:rows], prec)
+    arr = _dense(a)
     out = np.zeros(prec + 1, dtype=np.int64)
-    for i, val in zip(idx.tolist(), vals.tolist()):
-        if i > prec:
-            break
+    for i, val in zip(b.idx[:rows].tolist(), b.vals[:rows].tolist()):
         stop = min(top, prec - i)
-        out[i:i + stop + 1] += val * a[:stop + 1]
+        out[i:i + stop + 1] += val * arr[:stop + 1]
     return out
 
 
@@ -278,15 +337,18 @@ def _convolve_sparse(ia, va, ib, vb, prec):
     return out[:-1]
 
 
-def _product(arrays, prec: int) -> np.ndarray:
-    """Truncated product through prec of theta arrays, sparsest factors
-    first, by _convolve_trunc; [1] for no factors."""
-    arrays = sorted(arrays, key=np.count_nonzero)
-    if not arrays:
-        return np.ones(1, dtype=np.int64)
-    acc = arrays[0]
-    for arr in arrays[1:]:
-        acc = _convolve_trunc(arr, acc, prec)
+def _product(factors, prec: int) -> np.ndarray:
+    """Truncated product through prec of theta factors, each a
+    coefficient array or its _Terms, as an array: sparsest factors
+    first, by _convolve_trunc; [1] for no factors, and a lone factor
+    as its array.  Every array, a factor or a partial product, is
+    scanned once for its terms."""
+    if len(factors) < 2:
+        return _dense(factors[0]) if factors else np.ones(1, dtype=np.int64)
+    factors = sorted(map(_terms, factors), key=lambda f: len(f.idx))
+    acc = factors[0]
+    for factor in factors[1:]:
+        acc = _convolve_trunc(factor, acc, prec)
     return acc
 
 
@@ -299,7 +361,7 @@ def _half(blocks: tuple[QuadForm, ...], n: int) -> tuple[np.ndarray, int]:
     its 2^53 guard without a rescan.  float32 when the maximum is below
     2^24, else float64.  Shared read-only by every query that builds
     the same half partially."""
-    arr = _product([_theta_sweep(blk, n) for blk in blocks], n)
+    arr = _product([_block_factor(blk, n) for blk in blocks], n)
     top = int(arr.max())
     arr = np.concatenate((arr, arr[::-1]),
                          dtype=np.float32 if top < _F32_EXACT else np.float64)
@@ -313,7 +375,7 @@ def _theta_array(form: QuadForm, n_max: int) -> np.ndarray:
     of rank >= 3 is swept as the parts of its reduced basis."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    arr = _product([_theta_sweep(sub, n_max)
+    arr = _product([_block_factor(sub, n_max)
                     for sub in form.orthogonal_blocks()], n_max)
     arr.flags.writeable = False
     return arr
@@ -422,8 +484,9 @@ class RepQuery:
             b, top_b = _half(self._halves[1], n)
             peak = top_a * top_b
         else:
-            theta = _theta_sweep if self._cache is None else self._cache
-            a, b = (_product([np.asarray(theta(blk, n), dtype=np.int64)
+            cache = self._cache
+            a, b = (_product([_block_factor(blk, n) if cache is None
+                              else np.asarray(cache(blk, n), dtype=np.int64)
                               for blk in half], n)
                     for half in self._halves)
             peak = 0  # a single half is queried by lookup, with no dot

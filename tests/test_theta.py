@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -301,14 +302,30 @@ def random_definite(rng: random.Random, k: int) -> QuadForm:
 
 def skewed_conjugate(rng: random.Random, form: QuadForm) -> QuadForm:
     """U^T H U for a unit upper-triangular U, entries of the result at
-    most 1000: the flag of the basis is kept, only its skew is random."""
+    most 1000: the flag of the basis is kept, only its skew is random.
+    After 1000 draws with no such U (a form whose entries are already in
+    the hundreds may have none) it raises ValueError."""
     k = form.rank
-    while True:
+    for _ in range(1000):
         u = [[1 if r == c else (rng.randint(-9, 9) if r < c else 0)
               for c in range(k)] for r in range(k)]
         other = conjugated(form, u)
         if max(abs(x) for row in other.hessian for x in row) <= 1000:
             return other
+    raise ValueError(f"no skewed conjugate of {form.hessian} with entries "
+                     "at most 1000 in 1000 draws")
+
+
+def test_skewed_conjugate_gives_up():
+    """The eighth random binary of seed 2400 has no skewed conjugate
+    within the entry limit; the helper raises instead of looping, after
+    returning the first seven."""
+    rng = random.Random(2400)
+    for _ in range(7):
+        skewed_conjugate(rng, random_definite(rng, 2))
+    form = random_definite(rng, 2)
+    with pytest.raises(ValueError, match=re.escape(str(form.hessian))):
+        skewed_conjugate(rng, form)
 
 
 class TestWalkerAgainstFractionReference:
@@ -688,19 +705,28 @@ class TestRepQuery:
         """Rising queries build halves of binary blocks at 64, 256, 1024,
         4096, then at prec, dropping the old halves before each sweep;
         a form with a ternary block builds at prec at construction (its
-        ternary splits into <1> + binary once reduced, so the sweeps are
-        the ternary's, its two parts' and <7>'s)."""
+        ternary splits into <1> + binary once reduced, so the thetas are
+        the ternary's, its two parts' and <7>'s: sweeps of the ternary
+        and the binary, and the unary terms of <1> and <7>)."""
         prec = 20000
-        sweep = theta._theta_sweep
+        sweep, unary = theta._theta_sweep, theta._unary_terms
         builds = []
 
         def recording_sweep(h, n):
             builds.append((n, getattr(query, "_a", None) is None))
             return sweep(h, n)
 
+        def recording_unary(a, n):
+            builds.append((n, getattr(query, "_a", None) is None))
+            return unary(a, n)
+
+        def recording():
+            return mock.patch.multiple(theta, _theta_sweep=recording_sweep,
+                                       _unary_terms=recording_unary)
+
         form = QuadForm.block_diag([[2, 1], [1, 3]], [[2, -1], [-1, 4]])
         coeffs = theta_coeffs(form, prec)
-        with mock.patch.object(theta, "_theta_sweep", recording_sweep):
+        with recording():
             query = RepQuery(form, prec)
             for m in range(0, prec + 1, 7):
                 assert query.count(m) == coeffs[m]
@@ -709,7 +735,7 @@ class TestRepQuery:
         builds.clear()
         form = QuadForm.block_diag([[1, 1, 0], [1, 3, 1], [0, 1, 4]], 7)
         coeffs = theta_coeffs(form, 12)
-        with mock.patch.object(theta, "_theta_sweep", recording_sweep):
+        with recording():
             query = RepQuery(form, prec)
             built = len(builds)
             assert query.count(12) == coeffs[12]
@@ -785,7 +811,8 @@ class TestRepQuery:
 
         def flat_half(arrays, n):
             # the half of <1> has r(1) = 2, the half of <2> r(1) = 0
-            built.append(np.full(n + 1, a_max if arrays[0][1] else b_max,
+            r1 = theta._dense(arrays[0])[1]
+            built.append(np.full(n + 1, a_max if r1 else b_max,
                                  dtype=np.int64))
             return built[-1]
 
@@ -931,8 +958,8 @@ class TestFloatDotQueries:
 
         def flat_half(arrays, n):
             # the half of <1> has r(1) = 2, the half of <2> r(1) = 0
-            return np.full(n + 1, 4097 if arrays[0][1] else 4099,
-                           dtype=np.int64)
+            r1 = theta._dense(arrays[0])[1]
+            return np.full(n + 1, 4097 if r1 else 4099, dtype=np.int64)
 
         with mock.patch.object(theta, "_product", flat_half):
             query = RepQuery(QuadForm.diagonal((1, 2)), prec)
@@ -1111,6 +1138,22 @@ def _spy_sparse():
                              wraps=theta._convolve_sparse)
 
 
+def _unary_reference(a, prec, char=1, weight=0) -> list[int]:
+    """The twisted unary theta through q^prec from its definition:
+    kronecker(char, s) s^weight at a s^2, summed over s in Z."""
+    out = [0] * (prec + 1)
+    for s in range(-isqrt(prec), isqrt(prec) + 1):
+        if a * s * s <= prec:
+            out[a * s * s] += kronecker(char, s) * s ** weight
+    return out
+
+
+_unary_specs = st.tuples(st.integers(1, 50),
+                         st.sampled_from((1, 4, -4, 12, -3, 5, 8, -1)),
+                         st.integers(0, 1))
+_SWEPT_BINARIES = (((2, 1), (1, 2)), ((2, 0), (0, 6)), ((4, -3), (-3, 10)))
+
+
 class TestConvolveTrunc:
     @settings(max_examples=150, deadline=None)
     @given(_coefficient_arrays, _coefficient_arrays, st.integers(0, 200),
@@ -1173,6 +1216,67 @@ class TestConvolveTrunc:
             for m in rng.sample(range(prec + 1), 50):
                 assert query.count(m) == loop.count(m), (diag, m)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_unary_specs, min_size=1, max_size=3),
+           st.lists(st.sampled_from(_SWEPT_BINARIES), max_size=2),
+           st.integers(0, 300), st.booleans())
+    def test_term_factors_match_object_reference(self, unary, binaries,
+                                                 prec, sparse):
+        """_product of unary terms, alone or with dense sweeps of binary
+        forms, equals the exact product of the factors' definitions."""
+        factors = [theta._unary_terms(a, prec, char, weight)
+                   for a, char, weight in unary]
+        factors += [theta._theta_sweep(QuadForm(h), prec) for h in binaries]
+        expected = [1]
+        for a, char, weight in unary:
+            expected = mul_trunc(expected,
+                                 _unary_reference(a, prec, char, weight), prec)
+        for h in binaries:
+            expected = mul_trunc(expected, tails_theta(QuadForm(h), prec),
+                                 prec)
+        with (_always_sparse() if sparse else _never_sparse()), \
+                _spy_sparse() as spy:
+            got = theta._product(factors, prec)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert spy.called == (sparse and len(factors) > 1)
+
+    @pytest.mark.parametrize("v, fits", [(1 << 60, False),
+                                         ((1 << 60) - 1, True)])
+    def test_guard_on_term_factors(self, v, fits):
+        """The guard reads every term's value: max |a| sum |b| is
+        2 (1 + 2 v), past 2^62 at v = 2^60, whether <1> comes as terms or
+        as an array; one below, both paths multiply exactly."""
+        big = theta._Terms(np.array([0, 1, 3]), np.array([1, v, -v]), 6)
+        expected = mul_trunc([1, v, 0, -v, 0, 0], [1, 2, 0, 0, 2, 0], 5)
+        for unary in (theta._unary_terms(1, 5), _theta_unary(1, 5)):
+            for paths in (_always_sparse, _never_sparse):
+                with paths(), _spy_sparse() as spy:
+                    if fits:
+                        got = theta._product([big, unary], 5)
+                        assert got.tolist() == expected
+                        continue
+                    with pytest.raises(OverflowError, match="exceed int64"):
+                        theta._product([big, unary], 5)
+                assert not spy.called
+
+    def test_table1_halves_need_no_dense_unary(self):
+        """RepQuery of <1,2,3,10> to 360,000 (the Table 1 check at bound
+        600) builds its partial halves and its halves at prec from unary
+        terms alone: with the dense _theta_unary patched to raise, every
+        count equals the int64 dot of _product halves of dense sweeps."""
+        form = QuadForm.diagonal((1, 2, 3, 10))
+        prec = 360000
+        rng = random.Random(3600)
+        asked = [10, 100, 5000, prec, 0, *rng.sample(range(prec + 1), 30)]
+        with mock.patch.object(theta, "_theta_unary",
+                               side_effect=AssertionError("dense unary")):
+            query = RepQuery(form, prec)
+            got = [query.count(m) for m in asked]
+        assert query._built == prec
+        expect = _int64_dot(query, prec)
+        assert got == [expect(m) for m in asked]
+
 
 _series = st.lists(st.integers(-50, 50), min_size=1, max_size=40) | \
     st.lists(st.sampled_from((0,) * 10 + (1, -1, 3, -10**20)),
@@ -1195,10 +1299,11 @@ class TestSeriesKernels:
     @given(st.integers(1, 50), st.integers(0, 3000),
            st.sampled_from((1, 4, -4, 12, -3, 5, 8)), st.integers(0, 1))
     def test_twisted_unary_matches_definition(self, a, prec, char, weight):
-        expected = [0] * (prec + 1)
-        for s in range(-isqrt(prec), isqrt(prec) + 1):
-            if a * s * s <= prec:
-                expected[a * s * s] += kronecker(char, s) * s ** weight
+        expected = _unary_reference(a, prec, char, weight)
         got = _theta_unary(a, prec, char, weight)
         assert got.dtype == np.int64
         assert got.tolist() == expected
+        terms = theta._unary_terms(a, prec, char, weight)
+        assert terms.idx.tolist() == [i for i, v in enumerate(expected) if v]
+        assert terms.vals.tolist() == [v for v in expected if v]
+        assert terms.size == prec + 1
