@@ -10,8 +10,8 @@ passes over the sparse pentagonal terms of Euler's product, in int64
 until a bound says a value could leave it, then in Python ints.  The
 closed forms it is checked against (the classical unary identities and
 the level-120 quotient coefficients) are `_product`s of theta.py's
-twisted unary thetas, by their nonzero terms `_unary_terms` (or as the
-arrays `_theta_unary` where a sum is read off directly), so the two
+twisted unary thetas, by their nonzero terms `_unary_terms` (scattered
+into an array by `_dense` where a sum is read off directly), so the two
 sides share no kernel.
 """
 
@@ -26,7 +26,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .arith import factorize, kronecker
-from .theta import _product, _theta_unary, _unary_terms
+from .theta import _dense, _product, _unary_terms
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,7 @@ def unary_theta_identities(prec: int) -> list[IdentityCheck]:
 
     def squares(ratio, char, weight=0):
         """(1/2) sum_{n in Z} (char|n) n^weight q^(ratio n^2 / 24)."""
-        return _theta_unary(ratio, target, char, weight) // 2
+        return _dense(_unary_terms(ratio, target, char, weight), target) // 2
 
     compare("eta(z) = (1/2) sum (12|n) q^(n^2/24)",
             ((1, 1),), squares(1, 12))

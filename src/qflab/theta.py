@@ -9,28 +9,28 @@ of the first coordinate and the integer quadratic on it.  `_spread` lays
 ragged ranges end to end and hands them out a chunk at a time, to each
 walker level that expands its rows and to `_theta_sweep`, which counts
 the values; `represent_count` tests all range ends at once and
-`short_vectors` lists the sign-canonical part of each row.  Theta is an
-isometry invariant, so `_theta_sweep` walks a block of rank >= 3 on its
-reduced basis (`_reduced_blocks`, once per block) and multiplies the
-parts' sweeps where that basis splits: a skewed basis of a split lattice
-is never walked whole.  `represent_count` and `short_vectors` walk the
-basis they are given.
+`short_vectors` lists the sign-canonical part of each row.  All three
+walk the basis they are given.
 
-`_unary_terms` is the one square-series kernel: the nonzero terms
-(positions a t^2 and their values) of the theta of <a>, or of its twist
-by a Kronecker character and s^weight, which the q-series lattice sums
-use; `_theta_unary` scatters them into an array for callers that index
-into it.  `_product` is the one way to multiply thetas: `theta_coeffs`,
-both halves of `RepQuery`, the search filters' theta of <1,a> and those
-lattice sums fold their factors with it, through the int64
-`_convolve_trunc`.  A factor is an array or its `_Terms`; unary blocks
-come as terms (`_block_factor`), so a product of unary thetas, as in
-every Table 1 half, reads only their nonzero terms, and an array is
-scanned once for its own.  Partial `RepQuery` halves are memoised in
-`_half` and shared, read-only, by every query that builds them; a query
-is one BLAS dot, float32 for halves below 2^24, certified exact when
-its result is below 2^24 and else recomputed in float64, which a 2^53
-guard keeps exact.
+`_theta` is the one builder of block thetas: `theta_coeffs`, both
+`RepQuery` halves and their memo `_half` take the theta of an orthogonal
+sum of blocks from it.  Theta is an isometry invariant, so a block of
+rank >= 3 is taken as the blocks of its reduced basis (`_reduced_blocks`,
+once per block) and a skewed basis of a split lattice is never walked
+whole; a unary part gives its nonzero terms, any other part one
+`_theta_sweep`.  `_unary_terms` is the one square-series kernel: the
+terms (positions a t^2 and their values) of the theta of <a>, or of its
+twist by a Kronecker character and s^weight, which the q-series lattice
+sums use.  `_product` is the one way to multiply thetas: `_theta`, the
+search filters' theta of <1,a> and those lattice sums fold their factors
+with it, through the int64 `_convolve_trunc`.  Every factor holds
+r(0..prec), as an array of length prec + 1 or as its `_Terms`, so a
+product of unary thetas, as in every Table 1 half, reads only their
+nonzero terms, and an array is scanned once for its own.  Partial
+`RepQuery` halves are memoised in `_half` and shared, read-only, by every
+query that builds them; a query is one BLAS dot, float32 for halves below
+2^24, certified exact when its result is below 2^24 and else recomputed
+in float64, which a 2^53 guard keeps exact.
 """
 
 from __future__ import annotations
@@ -165,12 +165,11 @@ def _tails(form: QuadForm, bound: int):
 
 
 class _Terms(NamedTuple):
-    """A coefficient array by its nonzero terms: positions idx in
-    increasing order and their values vals.  size is the length of the
-    array, and dense the array itself when there is one."""
+    """A coefficient array r(0..prec) by its nonzero terms: positions idx
+    in increasing order, all at most prec, and their values vals; dense
+    is the array itself when there is one."""
     idx: np.ndarray
     vals: np.ndarray
-    size: int
     dense: np.ndarray | None = None
 
 
@@ -180,17 +179,17 @@ def _terms(factor) -> _Terms:
     if isinstance(factor, _Terms):
         return factor
     idx = np.flatnonzero(factor)
-    return _Terms(idx, factor[idx], len(factor), factor)
+    return _Terms(idx, factor[idx], factor)
 
 
-def _dense(factor) -> np.ndarray:
-    """A _product factor as a coefficient array: terms without one are
-    scattered into zeros."""
+def _dense(factor, prec: int) -> np.ndarray:
+    """A _product factor through prec as its coefficient array: terms
+    without one are scattered into prec + 1 zeros."""
     if not isinstance(factor, _Terms):
         return factor
     if factor.dense is not None:
         return factor.dense
-    out = np.zeros(factor.size, dtype=np.int64)
+    out = np.zeros(prec + 1, dtype=np.int64)
     out[factor.idx] = factor.vals
     return out
 
@@ -206,7 +205,7 @@ def _unary_terms(a: int, prec: int, char: int = 1, weight: int = 0) -> _Terms:
         vals[0] = 1
         t *= t
         t *= a
-        return _Terms(t, vals, prec + 1)
+        return _Terms(t, vals)
     if (-1 if char < 0 else 1) * (-1) ** weight == 1:
         # the term of s = -t is (char|-1) (-1)^weight times that of s = t,
         # so the two double or cancel
@@ -216,22 +215,7 @@ def _unary_terms(a: int, prec: int, char: int = 1, weight: int = 0) -> _Terms:
         vals = np.zeros(len(t), dtype=np.int64)
     vals[0] = kronecker(char, 0) * 0 ** weight  # s = 0 is counted once
     keep = np.flatnonzero(vals)
-    return _Terms(a * t[keep] ** 2, vals[keep], prec + 1)
-
-
-def _theta_unary(a: int, prec: int, char: int = 1,
-                 weight: int = 0) -> np.ndarray:
-    """The coefficients of _unary_terms(a, prec, char, weight), for
-    callers that index into them."""
-    return _dense(_unary_terms(a, prec, char, weight))
-
-
-def _block_factor(form: QuadForm, prec: int):
-    """The theta of a block through prec as a _product factor: the terms
-    of a unary block, else the block's _theta_sweep."""
-    if form.rank == 1:
-        return _unary_terms(form.hessian[0][0] // 2, prec)
-    return _theta_sweep(form, prec)
+    return _Terms(a * t[keep] ** 2, vals[keep])
 
 
 @lru_cache(maxsize=256)
@@ -244,18 +228,9 @@ def _reduced_blocks(form: QuadForm) -> tuple[QuadForm, ...]:
 
 
 def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
-    """Counts of Q(v) = n for all n <= prec.  A form of rank >= 3 is
-    swept on its reduced basis, as the _product of its blocks' sweeps
-    when that basis splits; a lower rank is one enumeration sweep."""
-    if form.rank >= 3:
-        parts = _reduced_blocks(form)
-        if len(parts) > 1:
-            return _product([_block_factor(sub, prec) for sub in parts],
-                            prec)
-        form = parts[0]
+    """Counts of Q(v) = n for all n <= prec, in one walk of the basis
+    form is given in."""
     a2 = form.hessian[0][0] // 2
-    if form.rank == 1:
-        return _theta_unary(a2, prec)
     counts = np.zeros(prec + 1, dtype=np.int64)
     for _, lo, hi, a1, a0 in _tails(form, prec):
         for rows, c, t in _spread(lo, hi):
@@ -269,49 +244,41 @@ def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
 
 
 def _convolve_trunc(a, b, prec: int) -> np.ndarray:
-    """Truncated product of two factors, exact: each a coefficient array
-    or its _Terms.  An array costs one scan for its nonzero terms, and
-    terms cost none; the terms serve the guard, the path test and the
-    sparse product.
+    """Truncated product through prec of two factors, exact: each holds
+    r(0..prec), as an array of length prec + 1 or as its _Terms.  An array
+    costs one scan for its nonzero terms, and terms cost none; the terms
+    serve the guard, the path test and the sparse product.
 
-    With a the longer factor (by the length of its array) and
-    top = min(len(a) - 1, prec), one of two int64 paths gives the result:
+    One of two int64 paths gives the result:
 
-    - shift-add: out[i:] += b_i * a once per nonzero b_i, about
-      nnz(b) * (top + 1) element operations, on a's array (terms of a
-      are scattered into one);
+    - shift-add: out[i:] += b_i * a[:prec + 1 - i] once per nonzero b_i,
+      about nnz(b) * (prec + 1) element operations, on a's array (terms
+      of a are scattered into one);
     - sparse product: every pair of nonzeros a_j, b_i is scattered into
       out[i + j], nnz(a) * nnz(b) pairs (see _convolve_sparse).
 
     The sparse product is taken when the shift-add work
-    nnz(b) * (top + 1) is at least _SPARSE_MIN_WORK and at most one
-    entry in _SPARSE_DENSITY of a[:top + 1] is nonzero, so the many
-    small products (search halves at precision 2,500) stay on the loop
-    and never pay for the fixed cost of np.add.at.  For two unary thetas
-    the nonzero pairs are the lattice points of the binary form up to
-    sign, so a two-unary half costs O(N) instead of O(N^1.5).  A product
-    whose coefficients could reach _INT64_GUARD, by the terms' values,
-    raises OverflowError before either path.
+    nnz(b) * (prec + 1) is at least _SPARSE_MIN_WORK and at most one
+    entry in _SPARSE_DENSITY of a is nonzero, so the many small products
+    (search halves at precision 2,500) stay on the loop and never pay
+    for the fixed cost of np.add.at.  For two unary thetas the nonzero
+    pairs are the lattice points of the binary form up to sign, so a
+    two-unary half costs O(N) instead of O(N^1.5).  A product whose
+    coefficients could reach _INT64_GUARD, by the terms' values, raises
+    OverflowError before either path.
     """
     a, b = _terms(a), _terms(b)
-    if a.size < b.size:
-        a, b = b, a
     bound = (int(np.abs(a.vals).max(initial=0))
              * sum(abs(v) for v in b.vals.tolist()))
     if bound >= _INT64_GUARD:
         raise OverflowError("theta convolution would exceed int64")
-    top = min(a.size - 1, prec)
-    rows = int(b.idx.searchsorted(prec, side="right"))  # b's terms <= prec
-    if len(b.idx) * (top + 1) >= _SPARSE_MIN_WORK:
-        cols = int(a.idx.searchsorted(top, side="right"))
-        if cols * _SPARSE_DENSITY <= top + 1:
-            return _convolve_sparse(a.idx[:cols], a.vals[:cols],
-                                    b.idx[:rows], b.vals[:rows], prec)
-    arr = _dense(a)
+    if (len(b.idx) * (prec + 1) >= _SPARSE_MIN_WORK
+            and len(a.idx) * _SPARSE_DENSITY <= prec + 1):
+        return _convolve_sparse(a.idx, a.vals, b.idx, b.vals, prec)
+    arr = _dense(a, prec)
     out = np.zeros(prec + 1, dtype=np.int64)
-    for i, val in zip(b.idx[:rows].tolist(), b.vals[:rows].tolist()):
-        stop = min(top, prec - i)
-        out[i:i + stop + 1] += val * arr[:stop + 1]
+    for i, val in zip(b.idx.tolist(), b.vals.tolist()):
+        out[i:] += val * arr[:prec + 1 - i]
     return out
 
 
@@ -338,13 +305,14 @@ def _convolve_sparse(ia, va, ib, vb, prec):
 
 
 def _product(factors, prec: int) -> np.ndarray:
-    """Truncated product through prec of theta factors, each a
-    coefficient array or its _Terms, as an array: sparsest factors
-    first, by _convolve_trunc; [1] for no factors, and a lone factor
-    as its array.  Every array, a factor or a partial product, is
-    scanned once for its terms."""
+    """Truncated product through prec of theta factors, each r(0..prec)
+    as an array of length prec + 1 or as its _Terms, as an array of that
+    length: sparsest factors first, by _convolve_trunc; [1] for no
+    factors, and a lone factor as its array.  Every array, a factor or a
+    partial product, is scanned once for its terms."""
     if len(factors) < 2:
-        return _dense(factors[0]) if factors else np.ones(1, dtype=np.int64)
+        return (_dense(factors[0], prec) if factors
+                else np.ones(1, dtype=np.int64))
     factors = sorted(map(_terms, factors), key=lambda f: len(f.idx))
     acc = factors[0]
     for factor in factors[1:]:
@@ -352,16 +320,29 @@ def _product(factors, prec: int) -> np.ndarray:
     return acc
 
 
+def _theta(blocks, prec: int) -> np.ndarray:
+    """The theta through prec of the orthogonal sum of blocks, as the
+    _product of their parts' thetas ([1] for no blocks).  The parts of a
+    block of rank >= 3 are the blocks of its reduced basis, of a lower
+    rank the block itself; a unary part gives its terms, any other part
+    its _theta_sweep."""
+    parts = [part for blk in blocks
+             for part in (_reduced_blocks(blk) if blk.rank >= 3 else (blk,))]
+    return _product([_unary_terms(part.hessian[0][0] // 2, prec)
+                     if part.rank == 1 else _theta_sweep(part, prec)
+                     for part in parts], prec)
+
+
 # partial builds stop at _PARTIAL_MAX: at most about 8 MB of float32 arrays
 @lru_cache(maxsize=256)
 def _half(blocks: tuple[QuadForm, ...], n: int) -> tuple[np.ndarray, int]:
-    """The theta product through n of a RepQuery half and then the same
-    reversed, with the product's maximum: a query takes a from the front
-    of one half and b from the back of the other, and the maxima give
-    its 2^53 guard without a rescan.  float32 when the maximum is below
-    2^24, else float64.  Shared read-only by every query that builds
-    the same half partially."""
-    arr = _product([_block_factor(blk, n) for blk in blocks], n)
+    """The _theta through n of a RepQuery half and then the same
+    reversed, with its maximum: a query takes a from the front of one
+    half and b from the back of the other, and the maxima give its 2^53
+    guard without a rescan.  float32 when the maximum is below 2^24,
+    else float64.  Shared read-only by every query that builds the same
+    half partially."""
+    arr = _theta(blocks, n)
     top = int(arr.max())
     arr = np.concatenate((arr, arr[::-1]),
                          dtype=np.float32 if top < _F32_EXACT else np.float64)
@@ -370,13 +351,11 @@ def _half(blocks: tuple[QuadForm, ...], n: int) -> tuple[np.ndarray, int]:
 
 
 def _theta_array(form: QuadForm, n_max: int) -> np.ndarray:
-    """r(0..n_max) as a read-only int64 array, in one enumeration sweep
-    per orthogonal block, blocks combined by exact convolution; a block
-    of rank >= 3 is swept as the parts of its reduced basis."""
+    """r(0..n_max) as a read-only int64 array: the _theta of the form's
+    orthogonal blocks."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    arr = _product([_block_factor(sub, n_max)
-                    for sub in form.orthogonal_blocks()], n_max)
+    arr = _theta(form.orthogonal_blocks(), n_max)
     arr.flags.writeable = False
     return arr
 
@@ -425,8 +404,8 @@ class RepQuery:
     nearly equal rank: largest blocks first, each joins the half of lower
     rank (the first on a tie), so <1,2,3,10> gives (<1>,<10>) and
     (<2>,<3>).  A query is one dot product of the halves' theta vectors,
-    each the _product of its block thetas.  Halves of blocks of
-    rank <= 2 grow on demand: a query past the built precision rebuilds
+    each the _theta of its blocks.  Halves of blocks of rank <= 2 grow
+    on demand: a query past the built precision rebuilds
     both at max(m, 4 x built, 64), or at prec once that passes
     _PARTIAL_MAX, so a failing check stops at a small sweep.  Partial
     halves come from the memo `_half`, so checks of forms that share a
@@ -435,25 +414,26 @@ class RepQuery:
     lookup) or a block of rank >= 3 (swept on its reduced basis) is
     built at prec at once.  Halves follow the form's own blocks, so a
     one-block form stays one array, a lookup, even when its sweep splits.
-    Only the build at prec asks `cache`, one lookup per block.  A query is
-    one BLAS dot.  Halves whose maxima are below 2^24 are float32 (every
-    half that fits in memory; at prec both share one dtype), and a
-    float32 result below 2^24 is certified exact: the terms are
-    nonnegative, so in any summation order, with or without FMA, each
-    step's exact value lies between 0 and the true total.  Rounding is
-    monotone and 2^24 is a float32, so once a step reaches 2^24 the
-    result stays there; a result below it means every step was an
-    integer below 2^24, which float32 holds exactly.  Any other float32
-    result is recomputed once as a float64 dot of the same slices.
+    Only the build at prec asks `cache`, one lookup per block, for r(0..n)
+    as integers: a longer result is cut to n + 1 entries, and a shorter or
+    non-integer one raises ValueError.  A query is one BLAS dot.  Halves
+    whose maxima are below 2^24 are float32 (every half that fits in memory;
+    at prec both share one dtype), and a float32 result below 2^24 is
+    certified exact: the terms are nonnegative, so in any summation order,
+    with or without FMA, each step's exact value lies between 0 and the true
+    total.  Rounding is monotone and 2^24 is a float32, so once a step
+    reaches 2^24 the result stays there; a result below it means every step
+    was an integer below 2^24, which float32 holds exactly.  Any other
+    float32 result is recomputed once as a float64 dot of the same slices.
     float64 is exact in any summation order: every build raises
-    OverflowError unless max(a) max(b) (n + 1), which bounds each term
-    and partial sum, is below 2^53 (a partial build reads the maxima
-    from `_half`).  A query within the built precision is answered
-    before any other test; m < 0 and m > prec raise.  b is kept reversed
-    and contiguous, since a reversed view gets no BLAS and is slower than
-    an int64 dot.  No int64 dot is kept: that bound reaches 2^53 only for
-    halves far larger than memory.  Answers are not remembered: a query
-    is recomputed each time, so a caller that reuses a count keeps it.
+    OverflowError unless max(a) max(b) (n + 1), which bounds each term and
+    partial sum, is below 2^53 (a partial build reads the maxima from
+    `_half`).  A query within the built precision is answered before any
+    other test; m < 0 and m > prec raise.  b is kept reversed and
+    contiguous, since a reversed view gets no BLAS and is slower than an
+    int64 dot.  No int64 dot is kept: that bound reaches 2^53 only for
+    halves far larger than memory.  Answers are not remembered: a query is
+    recomputed each time, so a caller that reuses a count keeps it.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
@@ -484,10 +464,8 @@ class RepQuery:
             b, top_b = _half(self._halves[1], n)
             peak = top_a * top_b
         else:
-            cache = self._cache
-            a, b = (_product([_block_factor(blk, n) if cache is None
-                              else np.asarray(cache(blk, n), dtype=np.int64)
-                              for blk in half], n)
+            a, b = (_theta(half, n) if self._cache is None
+                    else _product([self._cached(blk, n) for blk in half], n)
                     for half in self._halves)
             peak = 0  # a single half is queried by lookup, with no dot
             if len(b) > 1:
@@ -503,6 +481,15 @@ class RepQuery:
         if peak * (n + 1) >= _QUERY_GUARD:
             raise OverflowError("theta dot query could reach 2^53")
         self._a, self._b, self._built = a, b, n
+
+    def _cached(self, blk: QuadForm, n: int) -> np.ndarray:
+        """r(0..n) of blk from the cache, cut to n + 1 entries; anything
+        but an integer array of at least n + 1 entries raises ValueError."""
+        arr = np.asarray(self._cache(blk, n))
+        if arr.ndim != 1 or arr.dtype.kind not in "iu" or len(arr) <= n:
+            raise ValueError(f"cache gave no integer r(0..{n}) "
+                             f"for block {blk.describe()}")
+        return arr[:n + 1].astype(np.int64, copy=False)
 
     def count(self, m: int) -> int:
         if not 0 <= m <= self._built:

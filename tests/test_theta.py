@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 
 from qflab import reduction, theta
 from qflab.arith import kronecker
+from qflab.cache import make_cache
 from qflab.forms import QuadForm
 from qflab.lattices import (CLASSIFICATION_TABLE, GENUS_PAIRS,
                             all_bundled_forms)
 from qflab.regularity import check_indistinguishable, is_strongly_s_regular
 from qflab.search import SearchConfig, search_diagonal
-from qflab.theta import (RepQuery, _convolve_trunc, _tails, _theta_unary,
-                         represent_count, short_vectors, theta_coeffs)
+from qflab.theta import (RepQuery, _convolve_trunc, _tails, represent_count,
+                         short_vectors, theta_coeffs)
+from qflab.verify import run_lemma54, run_props, run_table1
 from reference import int_det, mul_trunc, tails_theta
 
 
@@ -351,10 +353,9 @@ class TestWalkerAgainstFractionReference:
     def _check(rng, form, prec, cap):
         expected = fraction_theta(form, prec)
         assert theta_coeffs(form, prec) == expected, form.hessian
-        # the numpy sweep on the skewed basis itself, not a reduced one
-        with mock.patch.object(theta, "_reduced_blocks", lambda f: (f,)):
-            assert theta._theta_sweep(form, prec).tolist() == expected, \
-                form.hessian
+        # the numpy sweep walks the skewed basis itself, not a reduced one
+        assert theta._theta_sweep(form, prec).tolist() == expected, \
+            form.hessian
         for n in (0, 1, prec, *rng.sample(range(prec + 1), 4)):
             assert represent_count(form, n) == fraction_count(form, n), \
                 (form.hessian, n)
@@ -434,8 +435,9 @@ class TestReducedSweep:
 
     def test_reduction_once_per_distinct_block(self):
         """Repeated sweeps, dense and through RepQuery, reduce each block
-        of rank >= 3 once: the conjugate, the ternary of a 3 + 1 form and
-        the ternary part that a reduced rank-4 block splits off."""
+        of rank >= 3 once, and nothing else: the conjugate, the ternary of
+        a 3 + 1 form and A4, but not the ternary part that a reduced
+        rank-4 block splits off, which is walked as it comes."""
         rng = random.Random(9500)
         pair = GENUS_PAIRS["1,2,3,10"]
         forms = [one_block_conjugate(rng, pair.mate),
@@ -449,7 +451,7 @@ class TestReducedSweep:
         reduced = [call.args[0] for call in reduce.call_args_list]
         assert len(reduced) == len(set(reduced))
         assert {blk for form in forms for blk in form.orthogonal_blocks()
-                if blk.rank >= 3} < set(reduced)
+                if blk.rank >= 3} == set(reduced)
 
     def test_one_block_failing_form_is_swept_split(self):
         """A one-block conjugate of <1,2,3,3> fails as the diagonal form
@@ -584,9 +586,8 @@ class TestBatchedLevels:
 
     @staticmethod
     def _check_against_fractions(form: QuadForm, prec: int):
-        with mock.patch.object(theta, "_reduced_blocks", lambda f: (f,)):
-            assert theta._theta_sweep(form, prec).tolist() == \
-                fraction_theta(form, prec), form.hessian
+        assert theta._theta_sweep(form, prec).tolist() == \
+            fraction_theta(form, prec), form.hessian
         for n in range(prec + 1):
             assert represent_count(form, n) == fraction_count(form, n), \
                 (form.hessian, n)
@@ -705,23 +706,23 @@ class TestRepQuery:
         """Rising queries build halves of binary blocks at 64, 256, 1024,
         4096, then at prec, dropping the old halves before each sweep;
         a form with a ternary block builds at prec at construction (its
-        ternary splits into <1> + binary once reduced, so the thetas are
-        the ternary's, its two parts' and <7>'s: sweeps of the ternary
-        and the binary, and the unary terms of <1> and <7>)."""
+        ternary splits into <1> + binary once reduced, so the thetas
+        built are one walk of the binary and the unary terms of <1> and
+        <7>)."""
         prec = 20000
-        sweep, unary = theta._theta_sweep, theta._unary_terms
+        walk, unary = theta._tails, theta._unary_terms
         builds = []
 
-        def recording_sweep(h, n):
+        def recording_walk(h, n):
             builds.append((n, getattr(query, "_a", None) is None))
-            return sweep(h, n)
+            return walk(h, n)
 
         def recording_unary(a, n):
             builds.append((n, getattr(query, "_a", None) is None))
             return unary(a, n)
 
         def recording():
-            return mock.patch.multiple(theta, _theta_sweep=recording_sweep,
+            return mock.patch.multiple(theta, _tails=recording_walk,
                                        _unary_terms=recording_unary)
 
         form = QuadForm.block_diag([[2, 1], [1, 3]], [[2, -1], [-1, 4]])
@@ -739,8 +740,8 @@ class TestRepQuery:
             query = RepQuery(form, prec)
             built = len(builds)
             assert query.count(12) == coeffs[12]
-        assert len(builds) == built == 4
-        assert [n for n, _ in builds] == [prec] * 4
+        assert len(builds) == built == 3
+        assert [n for n, _ in builds] == [prec] * 3
 
     def test_cache_only_for_the_build_at_prec(self):
         calls = []
@@ -759,6 +760,38 @@ class TestRepQuery:
                                        cache=cache)
         assert report.counterexample[0] == 10
         assert calls == []
+
+    def test_short_cache_result_raises(self):
+        """A provider that returns r(0..n / 2) was trusted before, and
+        <1,2,3,10>, which passes, failed at n = 17 (expected 614, actual
+        464); now the build at prec names the block and raises."""
+        with pytest.raises(ValueError, match=r"r\(0\.\.400\) for block 1$"):
+            is_strongly_s_regular(QuadForm.diagonal((1, 2, 3, 10)), 20,
+                                  cache=lambda b, p: theta_coeffs(b, p // 2))
+
+    @pytest.mark.parametrize("provide", [
+        lambda b, p: np.ones(p + 1),
+        lambda b, p: np.ones((1, p + 1), dtype=np.int64),
+        lambda b, p: [1.5] * (p + 1),
+        lambda b, p: np.ones(p + 1, dtype=bool),
+    ], ids=["float", "2-D", "float list", "bool"])
+    def test_non_integer_cache_result_raises(self, provide):
+        with pytest.raises(ValueError, match="for block 1$"):
+            RepQuery(QuadForm.diagonal((1, 2, 3, 10)), 400,
+                     cache=provide).count(400)
+
+    def test_longer_cache_results_are_cut(self):
+        """A provider that returns r(0..2 n) gives the same reports as no
+        cache, for the Table 1 forms and the genus pairs' forms."""
+        def longer(block, prec):
+            return theta_coeffs(block, 2 * prec)
+
+        forms = [QuadForm.diagonal(e.diagonal) for e in CLASSIFICATION_TABLE]
+        forms += [getattr(pair, side) for pair in GENUS_PAIRS.values()
+                  for side in ("primary", "mate")]
+        for form in forms:
+            assert is_strongly_s_regular(form, 20, cache=longer).to_dict() \
+                == is_strongly_s_regular(form, 20).to_dict(), form.hessian
 
     def test_int64_guard_checked_at_every_build(self):
         """A build whose dot products could pass the query guard raises,
@@ -811,7 +844,7 @@ class TestRepQuery:
 
         def flat_half(arrays, n):
             # the half of <1> has r(1) = 2, the half of <2> r(1) = 0
-            r1 = theta._dense(arrays[0])[1]
+            r1 = theta._dense(arrays[0], n)[1]
             built.append(np.full(n + 1, a_max if r1 else b_max,
                                  dtype=np.int64))
             return built[-1]
@@ -958,7 +991,7 @@ class TestFloatDotQueries:
 
         def flat_half(arrays, n):
             # the half of <1> has r(1) = 2, the half of <2> r(1) = 0
-            r1 = theta._dense(arrays[0])[1]
+            r1 = theta._dense(arrays[0], n)[1]
             return np.full(n + 1, 4097 if r1 else 4099, dtype=np.int64)
 
         with mock.patch.object(theta, "_product", flat_half):
@@ -1138,6 +1171,11 @@ def _spy_sparse():
                              wraps=theta._convolve_sparse)
 
 
+def _unary_array(a, prec):
+    """The theta of <a> through prec as an array, from its terms."""
+    return theta._dense(theta._unary_terms(a, prec), prec)
+
+
 def _unary_reference(a, prec, char=1, weight=0) -> list[int]:
     """The twisted unary theta through q^prec from its definition:
     kronecker(char, s) s^weight at a s^2, summed over s in Z."""
@@ -1159,9 +1197,11 @@ class TestConvolveTrunc:
     @given(_coefficient_arrays, _coefficient_arrays, st.integers(0, 200),
            st.booleans())
     def test_both_paths_match_object_reference(self, a, b, prec, sparse):
-        a = np.array(a, dtype=np.int64)
-        b = np.array(b, dtype=np.int64)
-        expected = mul_trunc(a.tolist(), b.tolist(), prec)
+        """Factors padded with zeros or cut to prec + 1 entries, as every
+        factor is, multiply to mul_trunc of the lists as drawn."""
+        expected = mul_trunc(a, b, prec)
+        a, b = (np.array((c + [0] * prec)[:prec + 1], dtype=np.int64)
+                for c in (a, b))
         with (_always_sparse() if sparse else _never_sparse()), \
                 _spy_sparse() as spy:
             got = _convolve_trunc(a, b, prec)
@@ -1173,7 +1213,7 @@ class TestConvolveTrunc:
         (1, 1, 40000), (2, 7, 40000), (5, 3, 90001), (1, 50, 360000),
     ])
     def test_unary_pairs_take_sparse_path_at_default_rule(self, x, y, prec):
-        a, b = _theta_unary(x, prec), _theta_unary(y, prec)
+        a, b = _unary_array(x, prec), _unary_array(y, prec)
         with _spy_sparse() as spy:
             got = _convolve_trunc(a, b, prec)
         assert spy.called
@@ -1181,12 +1221,12 @@ class TestConvolveTrunc:
             assert np.array_equal(got, _convolve_trunc(a, b, prec))
 
     def test_small_and_dense_products_stay_on_the_loop(self):
-        small = _theta_unary(1, 2500)
-        dense = _convolve_trunc(_theta_unary(1, 40000),
-                                _theta_unary(1, 40000), 40000)
+        small = _unary_array(1, 2500)
+        dense = _convolve_trunc(_unary_array(1, 40000),
+                                _unary_array(1, 40000), 40000)
         with _spy_sparse() as spy:
             _convolve_trunc(small, small, 2500)
-            _convolve_trunc(dense, _theta_unary(3, 40000), 40000)
+            _convolve_trunc(dense, _unary_array(3, 40000), 40000)
         assert not spy.called
 
     def test_guard_refuses_products_past_int64(self):
@@ -1247,9 +1287,9 @@ class TestConvolveTrunc:
         """The guard reads every term's value: max |a| sum |b| is
         2 (1 + 2 v), past 2^62 at v = 2^60, whether <1> comes as terms or
         as an array; one below, both paths multiply exactly."""
-        big = theta._Terms(np.array([0, 1, 3]), np.array([1, v, -v]), 6)
+        big = theta._Terms(np.array([0, 1, 3]), np.array([1, v, -v]))
         expected = mul_trunc([1, v, 0, -v, 0, 0], [1, 2, 0, 0, 2, 0], 5)
-        for unary in (theta._unary_terms(1, 5), _theta_unary(1, 5)):
+        for unary in (theta._unary_terms(1, 5), _unary_array(1, 5)):
             for paths in (_always_sparse, _never_sparse):
                 with paths(), _spy_sparse() as spy:
                     if fits:
@@ -1263,19 +1303,98 @@ class TestConvolveTrunc:
     def test_table1_halves_need_no_dense_unary(self):
         """RepQuery of <1,2,3,10> to 360,000 (the Table 1 check at bound
         600) builds its partial halves and its halves at prec from unary
-        terms alone: with the dense _theta_unary patched to raise, every
-        count equals the int64 dot of _product halves of dense sweeps."""
+        terms alone: no walk happens, every factor of the builds at 64,
+        256 and prec (six products) reaches _product as terms with no
+        array, and every count equals the int64 dot of _product halves
+        of dense sweeps."""
         form = QuadForm.diagonal((1, 2, 3, 10))
         prec = 360000
         rng = random.Random(3600)
         asked = [10, 100, 5000, prec, 0, *rng.sample(range(prec + 1), 30)]
-        with mock.patch.object(theta, "_theta_unary",
-                               side_effect=AssertionError("dense unary")):
+        factors = []
+        real = theta._product
+
+        def recording(fs, n):
+            factors.extend(fs)
+            return real(fs, n)
+
+        with mock.patch.object(theta, "_tails",
+                               side_effect=AssertionError("walk")), \
+                mock.patch.object(theta, "_product", recording):
             query = RepQuery(form, prec)
             got = [query.count(m) for m in asked]
         assert query._built == prec
+        assert len(factors) == 12
+        assert all(isinstance(f, theta._Terms) and f.dense is None
+                   for f in factors)
         expect = _int64_dot(query, prec)
         assert got == [expect(m) for m in asked]
+
+
+def _holds_r_through(factor, prec: int) -> bool:
+    """Whether a _product factor holds r(0..prec): an array of length
+    prec + 1, or terms at positions <= prec with no array or one of that
+    length."""
+    if isinstance(factor, theta._Terms):
+        return (int(factor.idx.max(initial=0)) <= prec
+                and (factor.dense is None or len(factor.dense) == prec + 1))
+    return len(factor) == prec + 1
+
+
+def _cache_queries(cache_dir):
+    """Queries at prec of a diagonal form and a 3 + 1 form with a
+    make_cache provider: the first pass writes every entry, the second
+    reads them."""
+    cache = make_cache(cache_dir)
+    for _ in range(2):
+        for form in (QuadForm.diagonal((1, 2, 3, 10)),
+                     GENUS_PAIRS["1,2,3,10"].mate):
+            RepQuery(form, 400, cache=cache).count(400)
+    assert len(list(cache_dir.iterdir())) == 5
+
+
+def _nonsplit_queries(_):
+    """theta_coeffs and a query at prec of a one-block conjugate of each
+    base form of the benchmark's nonsplit workload."""
+    for name in ("1,2,3,10", "1,2,3,10/mate", "1,1,3,5"):
+        form = one_block_conjugate(random.Random(name),
+                                   all_bundled_forms()[name])
+        theta_coeffs(form, 400)
+        RepQuery(form, 400).count(400)
+
+
+class TestFactorContract:
+    """Every factor that reaches _convolve_trunc holds r(0..prec), so the
+    shift-add needs no trims, and _theta_sweep never gets a unary form,
+    whose theta comes as terms: checked on the traffic of the verify
+    suites, the search, cached queries and one-block conjugates."""
+
+    @pytest.mark.parametrize("run", [
+        lambda _: run_table1(60),
+        lambda _: search_diagonal(SearchConfig(15, 20)),
+        lambda _: run_props(40),
+        lambda _: run_lemma54(60),
+        _cache_queries,
+        _nonsplit_queries,
+    ], ids=["table1", "search", "props", "lemma54", "cache", "nonsplit"])
+    def test_every_factor_holds_r_through_prec(self, run, tmp_path):
+        products, ranks = [], set()
+        convolve, sweep = theta._convolve_trunc, theta._theta_sweep
+
+        def checked_convolve(a, b, prec):
+            assert _holds_r_through(a, prec) and _holds_r_through(b, prec)
+            products.append(prec)
+            return convolve(a, b, prec)
+
+        def checked_sweep(form, prec):
+            ranks.add(form.rank)
+            return sweep(form, prec)
+
+        with mock.patch.multiple(theta, _convolve_trunc=checked_convolve,
+                                 _theta_sweep=checked_sweep):
+            run(tmp_path)
+        assert products
+        assert 1 not in ranks
 
 
 _series = st.lists(st.integers(-50, 50), min_size=1, max_size=40) | \
@@ -1300,10 +1419,9 @@ class TestSeriesKernels:
            st.sampled_from((1, 4, -4, 12, -3, 5, 8)), st.integers(0, 1))
     def test_twisted_unary_matches_definition(self, a, prec, char, weight):
         expected = _unary_reference(a, prec, char, weight)
-        got = _theta_unary(a, prec, char, weight)
+        terms = theta._unary_terms(a, prec, char, weight)
+        got = theta._dense(terms, prec)
         assert got.dtype == np.int64
         assert got.tolist() == expected
-        terms = theta._unary_terms(a, prec, char, weight)
         assert terms.idx.tolist() == [i for i, v in enumerate(expected) if v]
         assert terms.vals.tolist() == [v for v in expected if v]
-        assert terms.size == prec + 1
