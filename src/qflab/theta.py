@@ -26,11 +26,13 @@ search filters' theta of <1,a> and those lattice sums fold their factors
 with it, through the int64 `_convolve_trunc`.  Every factor holds
 r(0..prec), as an array of length prec + 1 or as its `_Terms`, so a
 product of unary thetas, as in every Table 1 half, reads only their
-nonzero terms, and an array is scanned once for its own.  Partial
-`RepQuery` halves are memoised in `_half` and shared, read-only, by every
-query that builds them; a query is one BLAS dot, float32 for halves below
-2^24, certified exact when its result is below 2^24 and else recomputed
-in float64, which a 2^53 guard keeps exact.
+nonzero terms, and an array is scanned once for its own.  A `RepQuery`
+of one half is an int64 lookup array built at once; two halves grow on
+demand, their partial builds memoised in `_half` and shared, read-only,
+by every query that builds them.  Each of two halves is a `_float_half`,
+float32 below 2^24, and a query is one BLAS dot, certified exact when a
+float32 result is below 2^24 and else recomputed in float64, which a
+2^53 guard keeps exact.
 """
 
 from __future__ import annotations
@@ -305,14 +307,13 @@ def _convolve_sparse(ia, va, ib, vb, prec):
 
 
 def _product(factors, prec: int) -> np.ndarray:
-    """Truncated product through prec of theta factors, each r(0..prec)
-    as an array of length prec + 1 or as its _Terms, as an array of that
-    length: sparsest factors first, by _convolve_trunc; [1] for no
-    factors, and a lone factor as its array.  Every array, a factor or a
-    partial product, is scanned once for its terms."""
-    if len(factors) < 2:
-        return (_dense(factors[0], prec) if factors
-                else np.ones(1, dtype=np.int64))
+    """Truncated product through prec of one or more theta factors, each
+    r(0..prec) as an array of length prec + 1 or as its _Terms, as an
+    array of that length: sparsest factors first, by _convolve_trunc, and
+    a lone factor as its array.  Every array, a factor or a partial
+    product, is scanned once for its terms."""
+    if len(factors) == 1:
+        return _dense(factors[0], prec)
     factors = sorted(map(_terms, factors), key=lambda f: len(f.idx))
     acc = factors[0]
     for factor in factors[1:]:
@@ -321,8 +322,8 @@ def _product(factors, prec: int) -> np.ndarray:
 
 
 def _theta(blocks, prec: int) -> np.ndarray:
-    """The theta through prec of the orthogonal sum of blocks, as the
-    _product of their parts' thetas ([1] for no blocks).  The parts of a
+    """The theta through prec of the orthogonal sum of one or more
+    blocks, as the _product of their parts' thetas.  The parts of a
     block of rank >= 3 are the blocks of its reduced basis, of a lower
     rank the block itself; a unary part gives its terms, any other part
     its _theta_sweep."""
@@ -333,21 +334,26 @@ def _theta(blocks, prec: int) -> np.ndarray:
                      for part in parts], prec)
 
 
+def _float_half(arr: np.ndarray, *pieces) -> tuple[np.ndarray, int]:
+    """The pieces, views of the theta arr, as one read-only array, with
+    max(arr): float32 when that maximum is below 2^24, else float64."""
+    top = int(arr.max())
+    out = np.concatenate(pieces,
+                         dtype=np.float32 if top < _F32_EXACT else np.float64)
+    out.flags.writeable = False
+    return out, top
+
+
 # partial builds stop at _PARTIAL_MAX: at most about 8 MB of float32 arrays
 @lru_cache(maxsize=256)
 def _half(blocks: tuple[QuadForm, ...], n: int) -> tuple[np.ndarray, int]:
-    """The _theta through n of a RepQuery half and then the same
-    reversed, with its maximum: a query takes a from the front of one
-    half and b from the back of the other, and the maxima give its 2^53
-    guard without a rescan.  float32 when the maximum is below 2^24,
-    else float64.  Shared read-only by every query that builds the same
-    half partially."""
+    """The _float_half of the _theta through n of a RepQuery half, then
+    the same reversed: a query takes a from the front of one half and b
+    from the back of the other, and the maxima give its 2^53 guard
+    without a rescan.  Shared read-only by every query that builds the
+    same half partially."""
     arr = _theta(blocks, n)
-    top = int(arr.max())
-    arr = np.concatenate((arr, arr[::-1]),
-                         dtype=np.float32 if top < _F32_EXACT else np.float64)
-    arr.flags.writeable = False
-    return arr, top
+    return _float_half(arr, arr, arr[::-1])
 
 
 def _theta_array(form: QuadForm, n_max: int) -> np.ndarray:
@@ -403,37 +409,39 @@ class RepQuery:
     The orthogonal blocks of the form are split into two halves of
     nearly equal rank: largest blocks first, each joins the half of lower
     rank (the first on a tie), so <1,2,3,10> gives (<1>,<10>) and
-    (<2>,<3>).  A query is one dot product of the halves' theta vectors,
-    each the _theta of its blocks.  Halves of blocks of rank <= 2 grow
-    on demand: a query past the built precision rebuilds
-    both at max(m, 4 x built, 64), or at prec once that passes
+    (<2>,<3>).  Halves follow the form's own blocks, so a one-block form
+    is one half even when its reduced basis splits.  A half's theta is
+    the _theta of its blocks.
+
+    One half is built at prec at construction, as an int64 array, and a
+    query is a lookup.  Two halves grow on demand, and a query is one
+    dot product of their thetas: a query past the built precision
+    rebuilds both at max(m, 4 x built, 64), or at prec once that passes
     _PARTIAL_MAX, so a failing check stops at a small sweep.  Partial
     halves come from the memo `_half`, so checks of forms that share a
     half (as the diagonal search's do) sweep it once per precision; the
-    build at prec is never memoised.  A single block (queried by array
-    lookup) or a block of rank >= 3 (swept on its reduced basis) is
-    built at prec at once.  Halves follow the form's own blocks, so a
-    one-block form stays one array, a lookup, even when its sweep splits.
-    Only the build at prec asks `cache`, one lookup per block, for r(0..n)
-    as integers: a longer result is cut to n + 1 entries, and a shorter or
-    non-integer one raises ValueError.  A query is one BLAS dot.  Halves
-    whose maxima are below 2^24 are float32 (every half that fits in memory;
-    at prec both share one dtype), and a float32 result below 2^24 is
-    certified exact: the terms are nonnegative, so in any summation order,
-    with or without FMA, each step's exact value lies between 0 and the true
-    total.  Rounding is monotone and 2^24 is a float32, so once a step
-    reaches 2^24 the result stays there; a result below it means every step
-    was an integer below 2^24, which float32 holds exactly.  Any other
-    float32 result is recomputed once as a float64 dot of the same slices.
-    float64 is exact in any summation order: every build raises
-    OverflowError unless max(a) max(b) (n + 1), which bounds each term and
-    partial sum, is below 2^53 (a partial build reads the maxima from
-    `_half`).  A query within the built precision is answered before any
-    other test; m < 0 and m > prec raise.  b is kept reversed and
+    build at prec is never memoised.  Only the build at prec asks
+    `cache`, one lookup per block, for r(0..n) as integers: a longer
+    result is cut to n + 1 entries, and a shorter or non-integer one
+    raises ValueError.
+
+    Each of the two halves is a `_float_half`, float32 when its maximum
+    is below 2^24 (every half that fits in memory), else float64.  A dot
+    of two float32 halves whose result is below 2^24 is certified exact:
+    the terms are nonnegative, so in any summation order, with or without
+    FMA, each step's exact value lies between 0 and the true total.
+    Rounding is monotone and 2^24 is a float32, so once a step reaches
+    2^24 the result stays there; a result below it means every step was
+    an integer below 2^24, which float32 holds exactly.  Any other
+    float32 result is recomputed once as a float64 dot of the same
+    slices, and a dot with a float64 half is float64.  float64 is exact
+    in any summation order: every build raises OverflowError unless
+    max(a) max(b) (n + 1), which bounds each term and partial sum, is
+    below 2^53.  A query within the built precision is answered before
+    any other test; m < 0 and m > prec raise.  b is kept reversed and
     contiguous, since a reversed view gets no BLAS and is slower than an
-    int64 dot.  No int64 dot is kept: that bound reaches 2^53 only for
-    halves far larger than memory.  Answers are not remembered: a query is
-    recomputed each time, so a caller that reuses a count keeps it.
+    int64 dot.  Answers are not remembered: a query is recomputed each
+    time, so a caller that reuses a count keeps it.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
@@ -450,35 +458,31 @@ class RepQuery:
             r_take += blk.rank
         self._halves = (tuple(take), tuple(other))
         self._cache = cache
-        self._built = -1
-        if not other or blocks[0].rank > 2:
-            self._build(prec)
+        self._a, self._b, self._built = None, None, -1
+        if not other:
+            self._a, self._built = self._whole(self._halves[0]), prec
+
+    def _whole(self, half: tuple[QuadForm, ...]) -> np.ndarray:
+        """The int64 theta of half at prec: its _theta, or with a cache
+        the _product of its blocks' cached thetas."""
+        if self._cache is None:
+            return _theta(half, self.prec)
+        return _product([self._cached(blk, self.prec) for blk in half],
+                        self.prec)
 
     def _build(self, n: int) -> None:
         # free the old halves first, so old and new never coexist in memory
         self._a, self._b, self._built = None, None, -1
         if n < self.prec:
-            # whole memo arrays: a query reads a from the front of one
-            # and b from the back of the other
-            a, top_a = _half(self._halves[0], n)
-            b, top_b = _half(self._halves[1], n)
-            peak = top_a * top_b
+            (a, top_a), (b, top_b) = (_half(half, n) for half in self._halves)
         else:
-            a, b = (_theta(half, n) if self._cache is None
-                    else _product([self._cached(blk, n) for blk in half], n)
-                    for half in self._halves)
-            peak = 0  # a single half is queried by lookup, with no dot
-            if len(b) > 1:
-                top_a, top_b = int(a.max()), int(b.max())
-                peak = top_a * top_b
-                # one dtype for both, so no query casts a half
-                dtype = (np.float32 if max(top_a, top_b) < _F32_EXACT
-                         else np.float64)
-                # converted one at a time, so at most three halves coexist
-                a = a.astype(dtype)
-                b = np.ascontiguousarray(b[::-1], dtype=dtype)
-                a.flags.writeable = b.flags.writeable = False
-        if peak * (n + 1) >= _QUERY_GUARD:
+            # one half at a time, so no two int64 halves coexist
+            arr = self._whole(self._halves[0])
+            a, top_a = _float_half(arr, arr)
+            del arr
+            arr = self._whole(self._halves[1])
+            b, top_b = _float_half(arr, arr[::-1])
+        if top_a * top_b * (n + 1) >= _QUERY_GUARD:
             raise OverflowError("theta dot query could reach 2^53")
         self._a, self._b, self._built = a, b, n
 
@@ -499,10 +503,9 @@ class RepQuery:
                 raise ValueError(f"query {m} beyond precision {self.prec}")
             n = max(m, 4 * self._built, 64)
             self._build(self.prec if n > _PARTIAL_MAX else min(n, self.prec))
-        b = self._b
-        if len(b) == 1:
+        if self._b is None:
             return int(self._a[m])
-        a, b = self._a[:m + 1], b[len(b) - 1 - m:]
+        a, b = self._a[:m + 1], self._b[len(self._b) - 1 - m:]
         dot = np.dot(a, b)
         if dot >= _F32_EXACT and dot.dtype == np.float32:
             dot = np.dot(a.astype(np.float64), b.astype(np.float64))

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -215,6 +216,25 @@ class TestHeckeRecursion:
 class TestGenusPairIdentities:
     def test_parity_split_pair(self):
         assert genus_pair_identity_check("1,2,6,16", 200).passed
+
+    @pytest.mark.parametrize("mate, even, odd", [
+        (GENUS_PAIRS["1,2,6,16"].mate, True, True),
+        (QuadForm.diagonal((2, 4, 6, 16)), True, False),
+        (QuadForm.diagonal((1, 2, 6, 24)), False, False),
+    ], ids=["mate", "2,4,6,16", "1,2,6,24"])
+    def test_parity_split_verdicts(self, mate, even, odd):
+        """Each check of the parity-split pair reads its own residue
+        class: <2,4,6,16> agrees with <1,2,6,16> on r(4n) and not on
+        r(4n+1), and both verdicts match the walker's counts."""
+        primary = GENUS_PAIRS["1,2,6,16"].primary
+        pair = SimpleNamespace(primary=primary, mate=mate)
+        with mock.patch.dict(GENUS_PAIRS, {"1,2,6,16": pair}):
+            report = genus_pair_identity_check("1,2,6,16", 30)
+        assert [ok for _, ok in report.checks] == [even, odd]
+        for r, ok in ((0, even), (1, odd)):
+            assert ok == all(represent_count(primary, 4 * n + r)
+                             == represent_count(mate, 4 * n + r)
+                             for n in range(31))
 
     def test_mod3_pair(self):
         assert genus_pair_identity_check("1,1,3,5", 50).passed

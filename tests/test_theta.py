@@ -703,12 +703,12 @@ class TestRepQuery:
                 [coeffs[m] for m in order]
 
     def test_halves_grow_4x_then_jump_to_prec(self):
-        """Rising queries build halves of binary blocks at 64, 256, 1024,
-        4096, then at prec, dropping the old halves before each sweep;
-        a form with a ternary block builds at prec at construction (its
-        ternary splits into <1> + binary once reduced, so the thetas
-        built are one walk of the binary and the unary terms of <1> and
-        <7>)."""
+        """Rising queries build the halves at 64, 256, 1024, 4096, then at
+        prec, dropping the old halves before each sweep, and nothing at
+        construction, for binary blocks and for a ternary block alike
+        (the ternary splits into <1> + binary once reduced, so each build
+        of the ternary + <7> form is one walk of the binary and the unary
+        terms of <1> and <7>)."""
         prec = 20000
         walk, unary = theta._tails, theta._unary_terms
         builds = []
@@ -721,27 +721,41 @@ class TestRepQuery:
             builds.append((n, getattr(query, "_a", None) is None))
             return unary(a, n)
 
-        def recording():
-            return mock.patch.multiple(theta, _tails=recording_walk,
-                                       _unary_terms=recording_unary)
+        for form, per_build in (
+                (QuadForm.block_diag([[2, 1], [1, 3]], [[2, -1], [-1, 4]]), 2),
+                (QuadForm.block_diag([[1, 1, 0], [1, 3, 1], [0, 1, 4]], 7), 3)):
+            coeffs = theta_coeffs(form, prec)
+            builds.clear()
+            with mock.patch.multiple(theta, _tails=recording_walk,
+                                     _unary_terms=recording_unary):
+                query = RepQuery(form, prec)
+                assert builds == []
+                for m in range(0, prec + 1, 7):
+                    assert query.count(m) == coeffs[m]
+            assert builds == [(n, True) for n in (64, 256, 1024, 4096, prec)
+                              for _ in range(per_build)], form.hessian
 
-        form = QuadForm.block_diag([[2, 1], [1, 3]], [[2, -1], [-1, 4]])
-        coeffs = theta_coeffs(form, prec)
-        with recording():
-            query = RepQuery(form, prec)
-            for m in range(0, prec + 1, 7):
-                assert query.count(m) == coeffs[m]
-        assert builds == [(n, True) for n in (64, 256, 1024, 4096, prec)
-                          for _ in range(2)]
-        builds.clear()
-        form = QuadForm.block_diag([[1, 1, 0], [1, 3, 1], [0, 1, 4]], 7)
-        coeffs = theta_coeffs(form, 12)
-        with recording():
-            query = RepQuery(form, prec)
-            built = len(builds)
-            assert query.count(12) == coeffs[12]
-        assert len(builds) == built == 3
-        assert [n for n, _ in builds] == [prec] * 3
+    def test_failing_ternary_form_stops_at_a_small_sweep(self):
+        """<1> + a ternary block that fails at n = 3 (expected 56, actual
+        50) reports so at bound 600 with no walk past 64, and its cache
+        is never asked, since only the build at 360,000 would ask it."""
+        form = QuadForm(((2, 0, 0, 0), (0, 2, 1, 0), (0, 1, 2, 1),
+                         (0, 0, 1, 8)))
+        walk, walked, asked = theta._tails, [], []
+
+        def recording_walk(h, n):
+            walked.append(n)
+            return walk(h, n)
+
+        def cache(block, n):
+            asked.append(block)
+            return theta_coeffs(block, n)
+
+        with mock.patch.object(theta, "_tails", recording_walk):
+            report = is_strongly_s_regular(form, 600, cache=cache)
+        assert (report.ms_value, report.counterexample) == (1, (3, 56, 50))
+        assert walked and max(walked) <= 64
+        assert asked == []
 
     def test_cache_only_for_the_build_at_prec(self):
         calls = []
@@ -857,6 +871,9 @@ class TestRepQuery:
                 return
             got = {m: query.count(m) for m in (prec, 0, 1, 4097)}
         assert not (query._a.flags.writeable or query._b.flags.writeable)
+        # each half takes its own dtype from its own maximum
+        assert {int(h.max()): h.dtype for h in (query._a, query._b)} == \
+            {a_max: np.float32, b_max: np.float64}
         a, b = (arr.tolist() for arr in built)
         assert got[prec] == theta._QUERY_GUARD - 1
         for m, val in got.items():
