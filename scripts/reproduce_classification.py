@@ -18,17 +18,10 @@ def main() -> int:
     parser.add_argument("--cmax", type=int, default=121,
                         help="search ceiling for diagonal entries")
     parser.add_argument("--search-bound", type=int, default=50)
-    parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 
-    from qflab.cache import make_cache
-    try:
-        cache = make_cache(args.cache_dir)
-    except ValueError as exc:  # an empty --cache-dir
-        parser.error(str(exc))
-
     t0 = time.monotonic()
-    table = run_table1(args.bound, cache=cache)
+    table = run_table1(args.bound)
     print(table1_markdown(table))
     print()
     print(table.to_text().splitlines()[-1],
@@ -37,7 +30,7 @@ def main() -> int:
 
     t0 = time.monotonic()
     result = search_diagonal(SearchConfig(args.cmax, args.search_bound),
-                             progress=True, cache=cache)
+                             progress=True)
     print(f"search: {result.examined} forms examined, "
           f"{result.filtered_out} pruned, "
           f"{len(result.survivors)} survivors "

@@ -17,7 +17,7 @@ from .regularity import (RegularityReport, check_indistinguishable,
                          hecke_square_recursion_check, is_strongly_s_regular,
                          m_s, genus_pair_identity_check,
                          theta_difference_vs_quotients)
-from .search import SearchConfig, SearchFilters, search_diagonal
+from .search import SearchConfig, search_diagonal
 from .theta import RepQuery, represent_count, short_vectors, theta_coeffs
 from .transforms import (JordanSymbolOdd, gamma_sublattices,
                          jordan_symbol_odd, lambda_composite,
@@ -30,7 +30,7 @@ __all__ = [
     "EtaQuotient", "GENUS_PAIRS",
     "GenusPair", "JordanSymbolOdd", "LEVEL120_QUOTIENTS", "QSeries",
     "QuadForm", "RegularityReport", "RepQuery", "SearchConfig",
-    "SearchFilters", "CLASSIFICATION_TABLE", "ClassificationEntry",
+    "CLASSIFICATION_TABLE", "ClassificationEntry",
     "all_bundled_forms", "cache_theta", "canonical_form",
     "check_indistinguishable", "congruence_sublattice", "cusp_orders",
     "divisor_character_sum", "eta_expansion", "eta_quotient_expansion",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 verification mismatch, 2 usage error
 or unusable cache directory, 3 request beyond the exact integer capacity
-of the theta engine, 141 (128 + SIGPIPE) when the reader of stdout
-closes it early, as in `qflab theta ... | head -1`; that exit prints
-nothing to stderr.
+of the theta engine or beyond the memory available, 141 (128 + SIGPIPE)
+when the reader of stdout closes it early, as in `qflab theta ... |
+head -1`; that exit prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .forms import parse_form
 from .qseries import (EtaQuotient, cusp_orders, eta_quotient_expansion,
                       newman_check, sturm_bound)
 from .regularity import is_strongly_s_regular
-from .search import SearchConfig, SearchFilters, search_diagonal
+from .search import SearchConfig, search_diagonal
 from .transforms import gamma_sublattices, lambda_composite
 from .verify import run_lemma54, run_props, run_table1, table1_markdown
 
@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     suites = p.add_subparsers(dest="suite", required=True)
     s = suites.add_parser("table1", help="the classification table")
     s.add_argument("--bound", type=int, default=300, help="regularity bound")
-    s.add_argument("--cache-dir", default=None)
     add_out(s)
     s = suites.add_parser("props", help="the genus-pair identities")
     s.add_argument("--nmax", type=int, default=500, help="identity range")
@@ -89,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmax", type=int, required=True)
     p.add_argument("--bound", type=int, default=50)
     p.add_argument("--no-filters", action="store_true")
-    p.add_argument("--cache-dir", default=None)
     add_out(p)
     return parser
 
@@ -129,6 +127,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: request exceeds the exact integer capacity limit of "
               f"the theta engine ({exc})", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: request exceeds the memory available", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -214,7 +215,7 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         if args.suite == "table1":
-            report = run_table1(args.bound, cache=make_cache(args.cache_dir))
+            report = run_table1(args.bound)
             if args.out == "text":
                 print(table1_markdown(report))
         elif args.suite == "props":
@@ -224,11 +225,8 @@ def _dispatch(args) -> int:
         return _emit_suite(report, args.out)
 
     if args.command == "search":
-        filters = (SearchFilters(False, False, False) if args.no_filters
-                   else SearchFilters())
-        config = SearchConfig(args.cmax, args.bound, filters)
-        result = search_diagonal(config, progress=True,
-                                 cache=make_cache(args.cache_dir))
+        config = SearchConfig(args.cmax, args.bound, not args.no_filters)
+        result = search_diagonal(config, progress=True)
         if args.out == "json":
             print(json.dumps(result.to_dict(), indent=2))
         elif args.out == "csv":

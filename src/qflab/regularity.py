@@ -22,7 +22,10 @@ from .qseries import LEVEL120_QUOTIENTS, eta_quotient_expansion
 from .theta import RepQuery, represent_count, theta_coeffs
 
 
-def m_s(form: QuadForm, cap: int = 100) -> int:
+_MS_CAP = 100  # m_s's default cap, also the end of the check's fallback
+
+
+def m_s(form: QuadForm, cap: int = _MS_CAP) -> int:
     """Least positive n with n^2 represented by the form."""
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -109,9 +112,9 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
     # with no r(n^2) > 0 every expected value was 0: no counterexample
     ms_value = next((n for n in range(1, len(r_sq)) if r_sq[n]), None)
     if ms_value is None:
-        # r_sq is 0 through the bound, so only bound < n <= 100 is left
-        # under m_s's default cap; None means ms is unknown
-        ms_value = next((n for n in range(bound + 1, 101)
+        # r_sq is 0 through the bound, so only bound < n <= _MS_CAP is
+        # left; None means ms is unknown
+        ms_value = next((n for n in range(bound + 1, _MS_CAP + 1)
                          if represent_count(form, n * n)), None)
     return RegularityReport(form, bound, ms_value,
                             counterexample is None, counterexample)

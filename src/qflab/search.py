@@ -4,16 +4,17 @@ square-regularity check, with sound good-prime pre-filters.
 Each filter is one instance of the full check (the equation at n = 3, 5
 or 11 when that prime is at most the bound and coprime to the
 discriminant), so filtered and unfiltered runs return identical
-survivor sets.  For each a the filters test every (b, c) at once with
-numpy, from the theta of <1,a>; each form that passes them gets one
-full check, which shares partial theta halves with earlier checks.
+survivor sets; `SearchConfig.filters` turns all three on or off.  For
+each a the filters test every (b, c) at once with numpy, from the theta
+of <1,a>; each form that passes them gets one full check, which shares
+partial theta halves with earlier checks.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isqrt
 
 import numpy as np
@@ -25,17 +26,10 @@ from .theta import _product, _unary_terms
 
 
 @dataclass(frozen=True)
-class SearchFilters:
-    lemma41: bool = True
-    mod3: bool = True
-    mod5: bool = True
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     c_max: int
     bound: int
-    filters: SearchFilters = field(default_factory=SearchFilters)
+    filters: bool = True
 
     def __post_init__(self):
         if self.c_max < 1 or self.bound < 1:
@@ -55,11 +49,8 @@ class SearchResult:
         return {
             "cMax": self.config.c_max,
             "bound": self.config.bound,
-            "filters": {
-                "lemma41": self.config.filters.lemma41,
-                "mod3": self.config.filters.mod3,
-                "mod5": self.config.filters.mod5,
-            },
+            "filters": dict.fromkeys(("lemma41", "mod3", "mod5"),
+                                     self.config.filters),
             "examined": self.examined,
             "filteredOut": self.filtered_out,
             "elapsedSeconds": round(self.elapsed, 3),
@@ -95,17 +86,16 @@ def _filter_pass(a: int, c_max: int, primes):
     return bs, cs, keep
 
 
-def search_diagonal(config: SearchConfig, progress: bool = False,
-                    cache=None) -> SearchResult:
+def search_diagonal(config: SearchConfig,
+                    progress: bool = False) -> SearchResult:
     """Enumerate <1,a,b,c> with 1 <= a <= b <= c <= c_max and keep the
     forms passing the full check to the configured bound.  Distinct
     sorted diagonals are never isometric (Eichler's unique decomposition
     of positive definite lattices), so no survivor duplicates another up
     to isometry."""
     start = time.monotonic()
-    filters = config.filters
-    flags = ((3, filters.mod3), (5, filters.mod5), (11, filters.lemma41))
-    filter_primes = [p for p, on in flags if on and p <= config.bound]
+    filter_primes = [p for p in (3, 5, 11)
+                     if config.filters and p <= config.bound]
     survivors: list[tuple[int, int, int, int]] = []
     reports: dict[tuple[int, int, int, int], RegularityReport] = {}
     examined = 0
@@ -118,7 +108,7 @@ def search_diagonal(config: SearchConfig, progress: bool = False,
         filtered += len(bs) - len(idx)
         for i, b, c in zip(idx.tolist(), bs[idx].tolist(), cs[idx].tolist()):
             form = QuadForm.diagonal((1, a, b, c))
-            report = is_strongly_s_regular(form, config.bound, cache=cache)
+            report = is_strongly_s_regular(form, config.bound)
             if report.passed:
                 survivors.append((1, a, b, c))
                 reports[(1, a, b, c)] = report

@@ -420,10 +420,12 @@ class RepQuery:
     _PARTIAL_MAX, so a failing check stops at a small sweep.  Partial
     halves come from the memo `_half`, so checks of forms that share a
     half (as the diagonal search's do) sweep it once per precision; the
-    build at prec is never memoised.  Only the build at prec asks
-    `cache`, one lookup per block, for r(0..n) as integers: a longer
-    result is cut to n + 1 entries, and a shorter or non-integer one
-    raises ValueError.
+    build at prec is never memoised: an unbounded memo of the int64
+    builds at prec raised the peak RSS of run_table1(600) from 42 to
+    95 MB, and only 21 of a pass's 68 builds at prec are distinct.  Only
+    the build at prec asks `cache`, one lookup per block, for r(0..n) as
+    integers: a longer result is cut to n + 1 entries, and a shorter or
+    non-integer one raises ValueError.
 
     Each of the two halves is a `_float_half`, float32 when its maximum
     is below 2^24 (every half that fits in memory), else float64.  A dot

@@ -15,7 +15,7 @@ from qflab.regularity import (check_indistinguishable,
                               hecke_square_recursion_check,
                               is_strongly_s_regular, genus_pair_identity_check,
                               theta_difference_vs_quotients)
-from qflab.search import SearchConfig, SearchFilters, search_diagonal
+from qflab.search import SearchConfig, search_diagonal
 from qflab.theta import theta_coeffs
 from qflab.transforms import (gamma_sublattices, jordan_symbol_odd,
                               watson_sublattice)
@@ -229,8 +229,7 @@ def test_criterion_7_search():
     table = sorted(e.diagonal for e in classification_passing())
     exact = sorted(result.survivors) == table
     on = search_diagonal(SearchConfig(20, 50))
-    off = search_diagonal(SearchConfig(20, 50,
-                                       SearchFilters(False, False, False)))
+    off = search_diagonal(SearchConfig(20, 50, filters=False))
     report("7 (search to 121 returns the 34; filters sound to 20)",
            exact and on.survivors == off.survivors,
            f"{time.monotonic() - start:.1f}s")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qflab import cli, theta
+from qflab import cache, cli, theta
 from qflab.cli import main
 
 
@@ -79,6 +79,21 @@ class TestCli:
         assert code == 3 and out == ""
         assert "capacity limit" in err
 
+    def test_out_of_memory_is_a_capacity_error(self, capsys, monkeypatch):
+        """A MemoryError on the theta path or the sreg path exits 3 with
+        one error line, not 1, which would mean a verification mismatch."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.delenv("QFLAB_CACHE", raising=False)
+        monkeypatch.setattr(cache, "_theta_array", exhausted)
+        monkeypatch.setattr(theta.RepQuery, "count", exhausted)
+        for argv in (("theta", "--form", "1,1", "--prec", "10"),
+                     ("sreg", "--form", "1,1,1,1", "--bound", "10")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == ""
+            assert err == "error: request exceeds the memory available\n"
+
     def test_capacity_error_from_a_theta_product(self, capsys, monkeypatch):
         monkeypatch.delenv("QFLAB_CACHE", raising=False)
         monkeypatch.setattr(theta, "_INT64_GUARD", 100)
@@ -115,8 +130,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ("theta", "--form", "1,1", "--prec", "5"),
         ("sreg", "--form", "1,2,3,10", "--bound", "5"),
-        ("verify", "table1", "--bound", "50"),
-    ], ids=["theta", "sreg", "verify"])
+    ], ids=["theta", "sreg"])
     def test_unusable_cache_dir_is_a_usage_error(self, capsys, tmp_path,
                                                  argv):
         """A regular file as the cache directory, or a path under one,
@@ -134,8 +148,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ("theta", "--form", "1,1", "--prec", "4"),
         ("sreg", "--form", "1,2,3,10", "--bound", "5"),
-        ("verify", "table1", "--bound", "50"),
-    ], ids=["theta", "sreg", "verify"])
+    ], ids=["theta", "sreg"])
     def test_empty_cache_dir_is_a_usage_error(self, capsys, tmp_path,
                                               monkeypatch, argv):
         """An empty --cache-dir exits 2 with one error line and writes no
@@ -242,14 +255,30 @@ class TestCli:
         data = json.loads(out)
         assert data["verdict"] == "pass"
 
-    def test_verify_table1_quick(self, capsys, tmp_path):
+    def test_verify_table1_quick(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "table1", "--bound", "50",
-                               "--cache-dir", str(tmp_path), "--out", "json")
+                               "--out", "json")
         assert code == 0
         data = json.loads(out)
         assert data["verdict"] == "pass"
         assert len(data["checks"]) == 37  # 36 forms + group count line
-        assert list(tmp_path.glob("theta-*.json"))
+
+    @pytest.mark.parametrize("argv", [
+        ("search", "--cmax", "3"),
+        ("verify", "table1", "--bound", "50"),
+    ], ids=["search", "table1"])
+    def test_diagonal_only_commands_refuse_cache_dir(self, capsys, tmp_path,
+                                                     argv):
+        """search and verify table1 see only diagonal forms, whose unary
+        blocks sweep faster than a cache reads them, so --cache-dir is an
+        unknown option there: exit 2 before anything runs or is written."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cache-dir" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ("props", "--bound", "5"),

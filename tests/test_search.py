@@ -1,13 +1,13 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qflab.arith import h_factor
 from qflab.forms import QuadForm
 from qflab.lattices import classification_passing
 from qflab.reduction import is_isometric
-from qflab.search import (SearchConfig, SearchFilters, _filter_pass,
-                          search_diagonal)
+from qflab.search import SearchConfig, _filter_pass, search_diagonal
 from qflab.theta import represent_count
 
 
@@ -30,19 +30,21 @@ class TestSearchDiagonal:
 
     def test_filters_do_not_change_survivors(self):
         on = search_diagonal(SearchConfig(12, 50))
-        off = search_diagonal(
-            SearchConfig(12, 50, SearchFilters(False, False, False)))
+        off = search_diagonal(SearchConfig(12, 50, filters=False))
         assert on.survivors == off.survivors
         assert on.filtered_out > 0 and off.filtered_out == 0
 
     def test_individual_filters_sound(self):
-        baseline = search_diagonal(
-            SearchConfig(8, 50, SearchFilters(False, False, False)))
-        for filters in (SearchFilters(True, False, False),
-                        SearchFilters(False, True, False),
-                        SearchFilters(False, False, True)):
-            result = search_diagonal(SearchConfig(8, 50, filters))
-            assert result.survivors == baseline.survivors, filters
+        """Each filter prime alone, as the batched pass applies it, drops
+        no survivor of the unfiltered search."""
+        baseline = set(search_diagonal(
+            SearchConfig(8, 50, filters=False)).survivors)
+        for p in (3, 5, 11):
+            for a in range(1, 9):
+                bs, cs, keep = _filter_pass(a, 8, [p])
+                dropped = {(1, a, b, c) for b, c in zip(bs[~keep].tolist(),
+                                                        cs[~keep].tolist())}
+                assert not dropped & baseline, p
 
     def test_report_shape(self):
         result = search_diagonal(SearchConfig(3, 50))
@@ -51,6 +53,9 @@ class TestSearchDiagonal:
         assert data["examined"] == 10
         assert "1,1,1,1" in data["survivors"]
         assert set(result.reports) == set(result.survivors)
+        for on in (True, False):
+            data = search_diagonal(SearchConfig(3, 50, on)).to_dict()
+            assert data["filters"] == {"lemma41": on, "mod3": on, "mod5": on}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -60,16 +65,20 @@ class TestSearchDiagonal:
 
 
     @pytest.mark.parametrize("filters, filtered_out", [
-        (SearchFilters(True, False, False), 9102),
-        (SearchFilters(False, True, False), 3631),
-        (SearchFilters(False, False, True), 5951),
-        (SearchFilters(), 10880),
-        (SearchFilters(False, False, False), 0),
+        ((11,), 9102), ((3,), 3631), ((5,), 5951), ((3, 5, 11), 10880),
+        ((), 0),
     ])
     def test_cmax40_counts(self, filters, filtered_out):
-        """examined, filteredOut and the 34 survivors of cmax 40 at
+        """The forms of cmax 40 that the batched pass drops with each
+        filter prime alone, and with all or none; for all or none also
+        examined, filteredOut and the 34 survivors of the search at
         bound 50, as the per-form filters gave them."""
-        result = search_diagonal(SearchConfig(40, 50, filters))
+        dropped = sum(int(np.count_nonzero(~_filter_pass(a, 40, filters)[2]))
+                      for a in range(1, 41))
+        assert dropped == filtered_out
+        if len(filters) == 1:
+            return
+        result = search_diagonal(SearchConfig(40, 50, bool(filters)))
         assert result.examined == 11480
         assert result.filtered_out == filtered_out
         assert result.survivors == sorted(
@@ -82,8 +91,7 @@ def test_filters_sound_below_the_filter_primes(bound):
     it must not run: survivors match the unfiltered search at every
     bound, and no filter runs below 3."""
     on = search_diagonal(SearchConfig(15, bound))
-    off = search_diagonal(
-        SearchConfig(15, bound, SearchFilters(False, False, False)))
+    off = search_diagonal(SearchConfig(15, bound, filters=False))
     assert on.survivors == off.survivors
     assert (on.filtered_out == 0) == (bound < 3)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflab import reduction, theta
-from qflab.arith import kronecker
+from qflab.arith import factorize, kronecker
 from qflab.cache import make_cache
 from qflab.forms import QuadForm
 from qflab.lattices import (CLASSIFICATION_TABLE, GENUS_PAIRS,
@@ -1442,3 +1442,29 @@ class TestSeriesKernels:
         assert got.tolist() == expected
         assert terms.idx.tolist() == [i for i, v in enumerate(expected) if v]
         assert terms.vals.tolist() == [v for v in expected if v]
+
+
+def _hurwitz_r3_squares(n: int) -> int:
+    """r(n^2) of <1,1,1> by Hurwitz's formula: 6 times the product over
+    p^a || n, p odd, of sigma(p^a) - (-1/p) sigma(p^(a-1))."""
+    count = 6
+    for p, a in factorize(n):
+        if p > 2:
+            count *= ((p ** (a + 1) - 1) // (p - 1)
+                      - (-1) ** (p // 2) * (p ** a - 1) // (p - 1))
+    return count
+
+
+def test_ternary_squares_match_hurwitz():
+    """r(n^2) for n <= 300 of <1,1,1>, from theta_coeffs and RepQuery, and
+    of a one-block conjugate whose reduced basis splits into three unary
+    blocks, so that _theta takes its reduced-basis path."""
+    expected = [_hurwitz_r3_squares(n) for n in range(1, 301)]
+    diagonal = QuadForm.diagonal((1, 1, 1))
+    conjugate = one_block_conjugate(random.Random(3), diagonal)
+    assert len(theta._reduced_blocks(conjugate)) == 3
+    for form in (diagonal, conjugate):
+        coeffs = theta_coeffs(form, 90000)
+        count = RepQuery(form, 90000).count
+        assert [coeffs[n * n] for n in range(1, 301)] == expected
+        assert [count(n * n) for n in range(1, 301)] == expected
