@@ -18,7 +18,7 @@ from .regularity import (RegularityReport, check_indistinguishable,
                          m_s, genus_pair_identity_check,
                          theta_difference_vs_quotients)
 from .search import SearchConfig, search_diagonal
-from .theta import RepQuery, represent_count, short_vectors, theta_coeffs
+from .theta import RepQuery, represent_count, theta_coeffs
 from .transforms import (JordanSymbolOdd, gamma_sublattices,
                          jordan_symbol_odd, lambda_composite,
                          lambda_transform, watson_sublattice)
@@ -41,8 +41,7 @@ __all__ = [
     "local_density_good", "m_s", "make_cache", "minkowski_reduce",
     "newman_check", "parse_form", "genus_pair_identity_check",
     "represent_count", "resolve_cache_dir", "run_lemma54", "run_props",
-    "run_table1", "search_diagonal", "short_vectors",
-    "square_split", "sturm_bound", "classification_passing",
-    "theta_coeffs", "theta_difference_vs_quotients",
+    "run_table1", "search_diagonal", "square_split", "sturm_bound",
+    "classification_passing", "theta_coeffs", "theta_difference_vs_quotients",
     "unary_theta_identities", "valuation", "watson_sublattice",
 ]

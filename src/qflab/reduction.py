@@ -12,7 +12,9 @@ centre, nearest coordinate first, cutting a branch once its partial sum
 reaches the best leaf so far.  Nothing is enumerated.
 
 Canonical forms and isometry both read one search: the smallest Gram
-over the bases that attain the successive minima.
+over the bases that attain the successive minima.  Its candidates for a
+basis vector of norm m are the vectors with Q(v) = m exactly, one walk
+of the reduced form per distinct successive minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import mul
 
 from ._matrix import conjugate, extends_to_basis
 from .forms import QuadForm
-from .theta import short_vectors
+from .theta import _vectors_of_norm
 
 
 def _closest(g) -> list[int]:
@@ -97,8 +99,8 @@ def _least_gram(reduced: QuadForm) -> tuple[int, ...]:
     k = reduced.rank
     hs = reduced.hessian
     need = [hs[i][i] // 2 for i in range(k)]
-    pool = short_vectors(reduced, max(need))
-    candidates = {v: [vec for base in pool[v] for vec in (base, tuple(-c for c in base))]
+    candidates = {v: [tuple(vec) for batch in _vectors_of_norm(reduced, v)
+                      for vec in batch.tolist()]
                   for v in set(need)}
 
     def pairing(a, b) -> int:

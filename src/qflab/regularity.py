@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arith import h_factor, kronecker, square_split
+from .arith import factorize, h_factor, kronecker, square_split
 from .forms import QuadForm
 from .lattices import GENUS_PAIRS, GenusPair
 from .qseries import LEVEL120_QUOTIENTS, eta_quotient_expansion
@@ -158,12 +158,18 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
         r(p^2 n^2) = (p^2 + 1) r(n^2) - p^2 r(n^2 / p^2)   if p | n,
         r(p^2 n^2) = (p^2 + chi p + 1) r(n^2)              if p !| n,
 
-    with chi = kronecker(dF, p).  (The p !| n case is where the middle
-    Hecke term survives; collapsing it into the two-term recursion with
-    r(n^2/p^2) = 0 fails already for the sum of four squares at n = 1.)
+    with chi = kronecker(dF, p), for 1 <= n <= bound.  (The p !| n case
+    is where the middle Hecke term survives; collapsing it into the
+    two-term recursion with r(n^2/p^2) = 0 fails already for the sum of
+    four squares at n = 1.)  A p that is not a prime coprime to dF, or a
+    bound below 1, raises ValueError.
     """
+    if p < 2 or factorize(p) != ((p, 1),):
+        raise ValueError(f"{p} is not a prime")
     if form.discriminant % p == 0:
         raise ValueError(f"{p} divides the discriminant")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     chi = kronecker(form.discriminant, p)
     query = RepQuery(form, p * p * bound * bound)
     ok = True
@@ -185,9 +191,12 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
 def genus_pair_identity_check(which: str, n_max: int,
                               mod5_bound: int | None = None) -> IdentityReport:
     """Verify the displayed counting identities of the three bundled
-    genus pairs ("1,2,6,16", "1,1,3,5", "1,2,3,10")."""
+    genus pairs ("1,2,6,16", "1,1,3,5", "1,2,3,10").  n_max and
+    mod5_bound, when given, must be positive."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    if mod5_bound is not None and mod5_bound < 1:
+        raise ValueError("mod5_bound must be positive")
     which = str(which)
     if which == "1,2,6,16":
         pair = GENUS_PAIRS["1,2,6,16"]

@@ -8,9 +8,9 @@ and the walker yields batches of rows: the tails x[1:], the exact range
 of the first coordinate and the integer quadratic on it.  `_spread` lays
 ragged ranges end to end and hands them out a chunk at a time, to each
 walker level that expands its rows and to `_theta_sweep`, which counts
-the values; `represent_count` tests all range ends at once and
-`short_vectors` lists the sign-canonical part of each row.  All three
-walk the basis they are given.
+the values.  The walker's other reader, `_vectors_of_norm`, takes the
+vectors of one exact value from the range ends, for `represent_count`
+and the basis search of `reduction`.  Both walk the basis they are given.
 
 `_theta` is the one builder of block thetas: `theta_coeffs`, both
 `RepQuery` halves and their memo `_half` take the theta of an orthogonal
@@ -223,7 +223,7 @@ def _unary_terms(a: int, prec: int, char: int = 1, weight: int = 0) -> _Terms:
 @lru_cache(maxsize=256)
 def _reduced_blocks(form: QuadForm) -> tuple[QuadForm, ...]:
     """The orthogonal blocks of a Minkowski-reduced basis of form."""
-    # imported here: reduction imports short_vectors from this module
+    # imported here: reduction imports _vectors_of_norm from this module
     from .reduction import minkowski_reduce
     reduced, _ = minkowski_reduce(form)
     return tuple(reduced.orthogonal_blocks())
@@ -371,36 +371,24 @@ def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
     return _theta_array(form, n_max).tolist()
 
 
+def _vectors_of_norm(form: QuadForm, n: int):
+    """Every integer vector v with Q(v) = n, both signs, in batches: the
+    rows of 2-D arrays, in the walker's dtype.  Q is convex along a row
+    and at most n exactly on its range [lo, hi), so Q = n can only hold
+    at the two ends."""
+    a2 = form.hessian[0][0] // 2
+    for xs, lo, hi, a1, a0 in _tails(form, n):
+        last = hi - 1
+        for t, keep in ((lo, lo <= last), (last, lo < last)):
+            keep = np.flatnonzero(keep & ((a2 * t + a1) * t + a0 == n))
+            yield np.column_stack((t[keep], xs[keep]))
+
+
 def represent_count(form: QuadForm, n: int) -> int:
     """Exact number of integer vectors with Q(v) = n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a2 = form.hessian[0][0] // 2
-    total = 0
-    for _, lo, hi, a1, a0 in _tails(form, n):
-        # Q <= n exactly on [lo, hi), so Q = n can only hold at its ends
-        last = hi - 1
-        total += (np.count_nonzero(((a2 * lo + a1) * lo + a0 == n)
-                                   & (lo <= last))
-                  + np.count_nonzero(((a2 * last + a1) * last + a0 == n)
-                                     & (lo < last)))
-    return int(total)
-
-
-def short_vectors(form: QuadForm, cap: int) -> dict[int, list[tuple[int, ...]]]:
-    """Sign-canonical vectors with 0 < Q(v) <= cap, grouped by value: the
-    first nonzero coordinate of each listed vector is positive."""
-    a2 = form.hessian[0][0] // 2
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for xs, *arrays in _tails(form, cap):
-        for tail, lo, hi, a1, a0 in zip(map(tuple, xs.tolist()),
-                                        *(arr.tolist() for arr in arrays)):
-            lead = next((c for c in tail if c), 0)
-            for t in range(max(lo, 0 if lead > 0 else 1), hi):
-                out.setdefault((a2 * t + a1) * t + a0, []).append((t, *tail))
-    for vecs in out.values():
-        vecs.sort()
-    return out
+    return sum(map(len, _vectors_of_norm(form, n)))
 
 
 class RepQuery:

@@ -1,11 +1,12 @@
 """Slow exact references that the fast int64 kernels are checked against."""
 
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from qflab._matrix import conjugate, extends_to_basis, identity, mat_mul
 from qflab.forms import QuadForm
-from qflab.theta import _tails, short_vectors
+from qflab.theta import _tails
 
 
 def int_det(m) -> int:
@@ -134,6 +135,106 @@ def tails_theta(form, prec: int) -> list[int]:
     return out
 
 
+def fraction_tails(h, bound: int):
+    """Reference walker: an exact rational LDL square completion whose
+    ranges are widened by one, the extra points filtered out again.
+    Yields (x, a2, a1, a0) with Q(t, x[1:]) = a2 t^2 + a1 t + a0 for
+    every tail with some real x[0] giving Q(x) <= bound."""
+    k = len(h)
+    b = [[Fraction(h[i][j], 2) for j in range(k)] for i in range(k)]
+    d = [Fraction(0)] * k
+    u = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        d[i] = b[i][i]
+        for j in range(i + 1, k):
+            u[i][j] = b[i][j] / d[i]
+        for r in range(i + 1, k):
+            for c in range(r, k):
+                b[r][c] -= d[i] * u[i][r] * u[i][c]
+    x = [0] * k
+
+    def row_coefficients():
+        a1 = sum(h[0][j] * x[j] for j in range(1, k))
+        a0 = sum(h[i][j] * x[i] * x[j]
+                 for i in range(1, k) for j in range(1, k))
+        return (x, h[0][0] // 2, a1, a0 // 2)
+
+    def descend(level: int, budget: Fraction):
+        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
+                     Fraction(0))
+        ratio = budget / d[level]
+        radius = isqrt(ratio.numerator * ratio.denominator) // ratio.denominator
+        lo = (-center).numerator // (-center).denominator - radius - 1
+        hi = -(center.numerator // center.denominator) + radius + 1
+        for t in range(lo, hi + 1):
+            shift = t + center
+            rem = budget - d[level] * shift * shift
+            if rem >= 0:
+                x[level] = t
+                if level == 1:
+                    yield row_coefficients()
+                else:
+                    yield from descend(level - 1, rem)
+        x[level] = 0
+
+    if k == 1:
+        yield row_coefficients()
+    else:
+        yield from descend(k - 1, Fraction(bound))
+
+
+def fraction_t_range(a2, a1, a0, bound):
+    """Every t with a2 t^2 + a1 t + a0 <= bound, widened by one each side."""
+    disc = a1 * a1 - 4 * a2 * (a0 - bound)
+    if disc < 0:
+        return range(0)
+    s = isqrt(disc)
+    return range((-a1 - s) // (2 * a2) - 1, (-a1 + s) // (2 * a2) + 2)
+
+
+def fraction_theta(form: QuadForm, prec: int) -> list[int]:
+    """r(0..prec) from fraction_tails."""
+    counts = [0] * (prec + 1)
+    for _, a2, a1, a0 in fraction_tails(form.hessian, prec):
+        for t in fraction_t_range(a2, a1, a0, prec):
+            q = (a2 * t + a1) * t + a0
+            if q <= prec:
+                counts[q] += 1
+    return counts
+
+
+def fraction_count(form: QuadForm, n: int) -> int:
+    """r(n) from fraction_tails: the integer roots of each row's
+    quadratic equal to n."""
+    if n == 0:
+        return 1
+    total = 0
+    for _, a2, a1, a0 in fraction_tails(form.hessian, n):
+        disc = a1 * a1 - 4 * a2 * (a0 - n)
+        s = isqrt(max(disc, 0))
+        if s * s == disc:
+            total += sum(1 for root in {-a1 - s, -a1 + s}
+                         if root % (2 * a2) == 0)
+    return total
+
+
+def fraction_short_vectors(form: QuadForm, cap: int):
+    """Sign-canonical vectors with 0 < Q(v) <= cap, grouped by value and
+    sorted, from fraction_tails: the first nonzero coordinate of each
+    listed vector is positive."""
+    out: dict[int, list] = {}
+    for x, a2, a1, a0 in fraction_tails(form.hessian, cap):
+        tail = tuple(x[1:])
+        lead = next((c for c in tail if c), 0)
+        for t in fraction_t_range(a2, a1, a0, cap):
+            q = (a2 * t + a1) * t + a0
+            if 0 < q <= cap and (t > 0 or (t == 0 and lead > 0)):
+                out.setdefault(q, []).append((t, *tail))
+    for vecs in out.values():
+        vecs.sort()
+    return out
+
+
 def pair_reduce(form: QuadForm) -> tuple[QuadForm, list[list[int]]]:
     """Cheap exact size reduction: shear each basis vector against the
     others while that strictly shortens it.  Keeps the diagonal small so
@@ -174,7 +275,7 @@ def pool_minkowski_reduce(form: QuadForm) -> tuple[QuadForm, list[list[int]]]:
     k = form.rank
     original = form
     form, pre_u = pair_reduce(form)
-    pool = short_vectors(form, max(form.diag_q))
+    pool = fraction_short_vectors(form, max(form.diag_q))
     chosen: list[tuple[int, ...]] = []
     for _ in range(k):
         chosen.append(next(vec for val in sorted(pool) for vec in pool[val]
@@ -201,7 +302,7 @@ def decide_isometric(a: QuadForm, b: QuadForm) -> bool:
     k = len(target)
     hs = rb.hessian
     need = [target[i][i] // 2 for i in range(k)]
-    pool = short_vectors(rb, max(need))
+    pool = fraction_short_vectors(rb, max(need))
     if any(value not in pool for value in need):
         return False
     candidates = {v: [vec for base in pool[v]

@@ -6,15 +6,16 @@ from unittest import mock
 
 import pytest
 
-from qflab import theta
+from qflab import reduction, theta
 from qflab._matrix import conjugate, extends_to_basis
 from qflab.forms import QuadForm
 from qflab.lattices import all_bundled_forms
 from qflab.reduction import (_closest, canonical_form, is_isometric,
                              minkowski_reduce)
-from qflab.theta import short_vectors, theta_coeffs
+from qflab.theta import theta_coeffs
 
-from reference import decide_isometric, pool_minkowski_reduce, spans_primitive
+from reference import (decide_isometric, fraction_short_vectors,
+                       pool_minkowski_reduce, spans_primitive)
 from test_theta import A4, conjugated, random_definite, random_unimodular
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,16 +97,16 @@ class TestClosestVector:
     def test_against_the_walker(self, seed):
         """For the basis b_0, .., b_n of a form, b_n minus its closest
         vector in the span of the others is a shortest lattice vector
-        whose last coordinate is +-1; the walker lists them all.  On
-        these unreduced bases the first leaf (Babai's nearest plane) is
-        often not the closest."""
+        whose last coordinate is +-1; the Fraction reference walker lists
+        them all.  On these unreduced bases the first leaf (Babai's
+        nearest plane) is often not the closest."""
         rng = random.Random(2400 + seed)
         for k in (2, 3, 4):
             for _ in range(8):
                 form = random_definite(rng, k)
                 x = _closest(form.hessian)
                 q = form.evaluate((*(-c for c in x), 1))
-                pool = short_vectors(form, q)
+                pool = fraction_short_vectors(form, q)
                 assert q == min(value for value, vecs in pool.items()
                                 if any(abs(v[-1]) == 1 for v in vecs)), \
                     form.hessian
@@ -150,6 +151,37 @@ class TestMinkowskiReduce:
         assert_reduced(form, red, u)
         assert theta_coeffs(form, 10) == \
             theta_coeffs(QuadForm.diagonal((1, 1, 2**e, 2**e)), 10)
+
+
+class TestCanonicalFormWork:
+    def test_skewed_split_form_reads_only_its_minima(self):
+        """The conjugate of <1, 2^20, 2^20, 1> by the all-ones upper
+        triangle: the basis search walks its reduced form once per
+        distinct successive minimum, 1 and 2^20, and gets the 12 vectors
+        of those two norms, where a listing of every vector up to 2^20
+        would hold about 1.6 million."""
+        e = 20
+        skew = [[int(r <= c) for c in range(4)] for r in range(4)]
+        form = conjugated(QuadForm.diagonal((1, 2**e, 2**e, 1)), skew)
+        bounds, vectors = [], []
+        walk, read = theta._tails, reduction._vectors_of_norm
+
+        def recording_walk(f, bound):
+            bounds.append(bound)
+            return walk(f, bound)
+
+        def recording_read(f, n):
+            for batch in read(f, n):
+                vectors.extend(map(tuple, batch.tolist()))
+                yield batch
+
+        with mock.patch.object(theta, "_tails", recording_walk), \
+                mock.patch.object(reduction, "_vectors_of_norm",
+                                  recording_read):
+            canon = canonical_form(form)
+        assert canon == QuadForm.diagonal((1, 1, 2**e, 2**e))
+        assert sorted(bounds) == [1, 2**e]
+        assert len(vectors) == 12
 
 
 class TestAgainstReference:

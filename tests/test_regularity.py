@@ -212,6 +212,15 @@ class TestHeckeRecursion:
         with pytest.raises(ValueError):
             hecke_square_recursion_check(QuadForm.diagonal((1, 1, 1, 1)), 2, 10)
 
+    @pytest.mark.parametrize("p", [9, 15, -3, 1, 0])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="not a prime"):
+            hecke_square_recursion_check(QuadForm.diagonal((1, 1, 1, 1)), p, 5)
+
+    def test_rejects_empty_bound(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            hecke_square_recursion_check(QuadForm.diagonal((1, 1, 1, 1)), 3, 0)
+
 
 class TestGenusPairIdentities:
     def test_parity_split_pair(self):
@@ -248,6 +257,11 @@ class TestGenusPairIdentities:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             genus_pair_identity_check("1,1,1,1", 10)
+
+    @pytest.mark.parametrize("mod5_bound", [0, -7])
+    def test_rejects_empty_mod5_bound(self, mod5_bound):
+        with pytest.raises(ValueError, match="mod5_bound must be positive"):
+            genus_pair_identity_check("1,2,3,10", 5, mod5_bound=mod5_bound)
 
 
 def _prop32_eligible(form, q):

@@ -1,6 +1,5 @@
 import random
 import re
-from fractions import Fraction
 from itertools import product
 from math import isqrt
 from unittest import mock
@@ -19,9 +18,10 @@ from qflab.lattices import (CLASSIFICATION_TABLE, GENUS_PAIRS,
 from qflab.regularity import check_indistinguishable, is_strongly_s_regular
 from qflab.search import SearchConfig, search_diagonal
 from qflab.theta import (RepQuery, _convolve_trunc, _tails, represent_count,
-                         short_vectors, theta_coeffs)
+                         theta_coeffs)
 from qflab.verify import run_lemma54, run_props, run_table1
-from reference import int_det, mul_trunc, tails_theta
+from reference import (fraction_count, fraction_short_vectors, fraction_theta,
+                       int_det, mul_trunc, tails_theta)
 
 
 def box(form: QuadForm, n: int):
@@ -38,6 +38,22 @@ def box(form: QuadForm, n: int):
         bounds.append(isqrt((2 * n * cof) // det + 1) + 1)
     for v in product(*(range(-b, b + 1) for b in bounds)):
         yield v, form.evaluate(v)
+
+
+def norm_vectors(form: QuadForm, n: int) -> list[tuple[int, ...]]:
+    """The vectors theta._vectors_of_norm yields for n, sorted."""
+    return sorted(tuple(v) for batch in theta._vectors_of_norm(form, n)
+                  for v in batch.tolist())
+
+
+def fraction_norm_vectors(form: QuadForm, cap: int) -> list[list]:
+    """The vectors with Q(v) = n for each n <= cap, both signs, sorted,
+    from the Fraction reference's sign-canonical listing."""
+    pool = fraction_short_vectors(form, cap)
+    return [[(0,) * form.rank]] + [
+        sorted(vec for base in pool.get(n, ())
+               for vec in (base, tuple(-c for c in base)))
+        for n in range(1, cap + 1)]
 
 
 def box_count_oracle(form: QuadForm, n: int) -> int:
@@ -169,18 +185,20 @@ def one_block_conjugate(rng: random.Random, form: QuadForm) -> QuadForm:
 
 
 class TestWalkerAgainstBox:
-    """The three leaf loops over the one lattice walker against brute
-    force over the dual-bound box, on random unimodular conjugates."""
+    """The readers of the one lattice walker against brute force over the
+    dual-bound box, on random unimodular conjugates."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_short_vectors(self, seed):
+        """The exact-norm reader gives every vector of each norm <= cap."""
         for form in random_conjugates(seed, 3):
             cap = 6 if form.rank == 4 else 12
-            expected: dict[int, list] = {}
+            expected = [[] for _ in range(cap + 1)]
             for v, q in box(form, cap):
-                if 0 < q <= cap and next(c for c in v if c) > 0:
-                    expected.setdefault(q, []).append(v)
-            assert short_vectors(form, cap) == expected, form.hessian
+                if q <= cap:
+                    expected[q].append(v)
+            assert [norm_vectors(form, n) for n in range(cap + 1)] == \
+                expected, form.hessian
 
     @pytest.mark.parametrize("seed", range(6))
     def test_represent_count_and_theta_coeffs(self, seed):
@@ -193,100 +211,6 @@ class TestWalkerAgainstBox:
             assert theta_coeffs(form, top) == counts, form.hessian
             assert [represent_count(form, n)
                     for n in range(top + 1)] == counts, form.hessian
-
-
-def fraction_tails(h, bound: int):
-    """Reference walker: an exact rational LDL square completion whose
-    ranges are widened by one, the extra points filtered out again.
-    Yields (x, a2, a1, a0) with Q(t, x[1:]) = a2 t^2 + a1 t + a0 for
-    every tail with some real x[0] giving Q(x) <= bound."""
-    k = len(h)
-    b = [[Fraction(h[i][j], 2) for j in range(k)] for i in range(k)]
-    d = [Fraction(0)] * k
-    u = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        d[i] = b[i][i]
-        for j in range(i + 1, k):
-            u[i][j] = b[i][j] / d[i]
-        for r in range(i + 1, k):
-            for c in range(r, k):
-                b[r][c] -= d[i] * u[i][r] * u[i][c]
-    x = [0] * k
-
-    def row_coefficients():
-        a1 = sum(h[0][j] * x[j] for j in range(1, k))
-        a0 = sum(h[i][j] * x[i] * x[j]
-                 for i in range(1, k) for j in range(1, k))
-        return (x, h[0][0] // 2, a1, a0 // 2)
-
-    def descend(level: int, budget: Fraction):
-        center = sum((u[level][j] * x[j] for j in range(level + 1, k)),
-                     Fraction(0))
-        ratio = budget / d[level]
-        radius = isqrt(ratio.numerator * ratio.denominator) // ratio.denominator
-        lo = (-center).numerator // (-center).denominator - radius - 1
-        hi = -(center.numerator // center.denominator) + radius + 1
-        for t in range(lo, hi + 1):
-            shift = t + center
-            rem = budget - d[level] * shift * shift
-            if rem >= 0:
-                x[level] = t
-                if level == 1:
-                    yield row_coefficients()
-                else:
-                    yield from descend(level - 1, rem)
-        x[level] = 0
-
-    if k == 1:
-        yield row_coefficients()
-    else:
-        yield from descend(k - 1, Fraction(bound))
-
-
-def fraction_t_range(a2, a1, a0, bound):
-    """Every t with a2 t^2 + a1 t + a0 <= bound, widened by one each side."""
-    disc = a1 * a1 - 4 * a2 * (a0 - bound)
-    if disc < 0:
-        return range(0)
-    s = isqrt(disc)
-    return range((-a1 - s) // (2 * a2) - 1, (-a1 + s) // (2 * a2) + 2)
-
-
-def fraction_theta(form: QuadForm, prec: int) -> list[int]:
-    counts = [0] * (prec + 1)
-    for _, a2, a1, a0 in fraction_tails(form.hessian, prec):
-        for t in fraction_t_range(a2, a1, a0, prec):
-            q = (a2 * t + a1) * t + a0
-            if q <= prec:
-                counts[q] += 1
-    return counts
-
-
-def fraction_count(form: QuadForm, n: int) -> int:
-    if n == 0:
-        return 1
-    total = 0
-    for _, a2, a1, a0 in fraction_tails(form.hessian, n):
-        disc = a1 * a1 - 4 * a2 * (a0 - n)
-        s = isqrt(max(disc, 0))
-        if s * s == disc:
-            total += sum(1 for root in {-a1 - s, -a1 + s}
-                         if root % (2 * a2) == 0)
-    return total
-
-
-def fraction_short_vectors(form: QuadForm, cap: int):
-    out: dict[int, list] = {}
-    for x, a2, a1, a0 in fraction_tails(form.hessian, cap):
-        tail = tuple(x[1:])
-        lead = next((c for c in tail if c), 0)
-        for t in fraction_t_range(a2, a1, a0, cap):
-            q = (a2 * t + a1) * t + a0
-            if 0 < q <= cap and (t > 0 or (t == 0 and lead > 0)):
-                out.setdefault(q, []).append((t, *tail))
-    for vecs in out.values():
-        vecs.sort()
-    return out
 
 
 def random_definite(rng: random.Random, k: int) -> QuadForm:
@@ -331,8 +255,8 @@ def test_skewed_conjugate_gives_up():
 
 
 class TestWalkerAgainstFractionReference:
-    """The integer walker and its three leaf loops against the rational
-    walker they replaced, at bounds past what the box oracle reaches."""
+    """The integer walker and its readers against the rational walker
+    they replaced, at bounds past what the box oracle reaches."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_definite_forms(self, seed):
@@ -359,8 +283,8 @@ class TestWalkerAgainstFractionReference:
         for n in (0, 1, prec, *rng.sample(range(prec + 1), 4)):
             assert represent_count(form, n) == fraction_count(form, n), \
                 (form.hessian, n)
-        assert short_vectors(form, cap) == fraction_short_vectors(form, cap), \
-            form.hessian
+        assert [norm_vectors(form, n) for n in range(cap + 1)] == \
+            fraction_norm_vectors(form, cap), form.hessian
 
 
 A4 = QuadForm(((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 2)))
@@ -501,7 +425,7 @@ class TestTails:
         form = QuadForm(((2 * 10**17, 1), (1, 2 * 10**17)))
         assert theta_coeffs(form, 100) == [1] + [0] * 100
         assert represent_count(form, 100) == 0
-        assert short_vectors(form, 100) == {}
+        assert norm_vectors(form, 100) == []
 
 
 class TestBatchedLevels:
@@ -591,19 +515,49 @@ class TestBatchedLevels:
         for n in range(prec + 1):
             assert represent_count(form, n) == fraction_count(form, n), \
                 (form.hessian, n)
-        assert short_vectors(form, prec) == \
-            fraction_short_vectors(form, prec), form.hessian
+        assert [norm_vectors(form, n) for n in range(prec + 1)] == \
+            fraction_norm_vectors(form, prec), form.hessian
 
 
 class TestVectors:
+    """theta._vectors_of_norm, the exact-norm reader of the walker."""
+
     def test_short_vectors_groups(self):
         form = QuadForm.diagonal((1, 2))
-        pool = short_vectors(form, 9)
-        # sign-canonical: half of each represent count
-        assert len(pool[1]) == 1 and len(pool[2]) == 1
-        assert len(pool[9]) == represent_count(form, 9) // 2
-        for value, vecs in pool.items():
-            assert all(form.evaluate(v) == value for v in vecs)
+        assert norm_vectors(form, 0) == [(0, 0)]
+        assert norm_vectors(form, 1) == [(-1, 0), (1, 0)]
+        assert norm_vectors(form, 2) == [(0, -1), (0, 1)]
+        assert norm_vectors(form, 9) == [(-3, 0), (-1, -2), (-1, 2), (1, -2),
+                                         (1, 2), (3, 0)]
+        for n in range(30):
+            assert all(form.evaluate(v) == n for v in norm_vectors(form, n))
+
+    @pytest.mark.parametrize("k, cap", [(1, 200), (2, 120), (3, 50), (4, 20)])
+    def test_against_fraction_reference(self, k, cap):
+        """Every vector of each norm n <= cap, both signs, on random
+        conjugates with odd and even cross terms; its count is
+        represent_count."""
+        rng = random.Random(8600 + k)
+        for _ in range(3):
+            form = random_definite(rng, k)
+            vectors = [norm_vectors(form, n) for n in range(cap + 1)]
+            assert vectors == fraction_norm_vectors(form, cap), form.hessian
+            assert [len(vecs) for vecs in vectors] == \
+                [represent_count(form, n) for n in range(cap + 1)]
+
+    def test_object_dtype(self):
+        """A walk that _wide sends to Python ints yields object arrays of
+        the same vectors."""
+        c = 2**40
+        form = QuadForm(((2, 2 * c + 1), (2 * c + 1, 2 * c * c + 2 * c + 2)))
+        assert theta._wide(form, 1)
+        batches = [batch for n in range(1, 31)
+                   for batch in theta._vectors_of_norm(form, n)]
+        assert batches and all(b.dtype == object for b in batches)
+        vectors = [norm_vectors(form, n) for n in range(31)]
+        assert vectors == fraction_norm_vectors(form, 30)
+        assert [len(vecs) for vecs in vectors] == \
+            [represent_count(form, n) for n in range(31)]
 
 
 class TestRepQuery:
