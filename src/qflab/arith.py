@@ -127,8 +127,13 @@ def h_factor(d_f: int, p: int, mu: int, k: int) -> int:
 def local_density_good(d_f: int, p: int, mu: int) -> Fraction:
     """Local representation density alpha_p(n, L) at a good prime for a
     quaternary lattice, where mu = ord_p(n): the closed rational form
-    (p - chi^(mu+1) p^-mu)(1 - chi p^-2)/(p - chi)."""
-    if p < 2 or (2 * d_f) % p == 0:
+    (p - chi^(mu+1) p^-mu)(1 - chi p^-2)/(p - chi).  A negative mu, or a p
+    that is not a prime coprime to 2 dF, raises ValueError."""
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if p < 2 or factorize(p) != ((p, 1),):
+        raise ValueError(f"{p} is not a prime")
+    if (2 * d_f) % p == 0:
         raise ValueError(f"{p} divides 2*dF = {2 * d_f}")
     chi = kronecker(d_f, p)
     num = (p - Fraction(chi ** (mu + 1), p**mu)) * (1 - Fraction(chi, p * p))

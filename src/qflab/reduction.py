@@ -92,49 +92,44 @@ def minkowski_reduce(form: QuadForm) -> tuple[QuadForm, list[list[int]]]:
     return QuadForm(tuple(tuple(row) for row in conjugate(h, u))), u
 
 
-def _least_gram(reduced: QuadForm) -> tuple[int, ...]:
-    """The lexicographically smallest off-diagonal entries (column by
-    column, above the diagonal) of the Gram of a basis attaining the
-    successive minima of a reduced form."""
+def _least_gram(reduced: QuadForm) -> tuple[tuple[int, ...], ...]:
+    """The Gram of a basis attaining the successive minima of a reduced
+    form, least in its entries above the diagonal, column by column.
+
+    Slot j takes a vector of norm H_jj / 2 and adds row j of the Gram's
+    lower triangle: the vector's pairings with the j vectors before it,
+    read as dot products with their images under H, then H_jj.  Prefixes
+    of equal length compare as their entries do, so a prefix above the
+    best one's is cut."""
     k = reduced.rank
     hs = reduced.hessian
-    need = [hs[i][i] // 2 for i in range(k)]
-    candidates = {v: [tuple(vec) for batch in _vectors_of_norm(reduced, v)
+    candidates = {n: [tuple(vec) for batch in _vectors_of_norm(reduced, n)
                       for vec in batch.tolist()]
-                  for v in set(need)}
+                  for n in {hs[i][i] // 2 for i in range(k)}}
+    best = None
 
-    def pairing(a, b) -> int:
-        return sum(a[i] * sum(hs[i][j] * b[j] for j in range(k)) for i in range(k))
-
-    best: list[tuple[int, ...] | None] = [None]
-    chosen: list[tuple[int, ...]] = []
-    trail: list[int] = []
-
-    def minimize(slot: int):
+    def search(basis, images, gram):
+        nonlocal best
+        slot = len(basis)
         if slot == k:
-            key = tuple(trail)
-            if best[0] is None or key < best[0]:
-                best[0] = key
+            # the cuts below let no Gram above the best reach a leaf
+            best = gram
             return
-        options = []
-        for vec in candidates[need[slot]]:
-            entries = tuple(pairing(vec, chosen[i]) for i in range(slot))
-            options.append((entries, vec))
-        options.sort()
-        for entries, vec in options:
-            prefix = tuple(trail) + entries
-            if best[0] is not None and prefix > best[0][:len(prefix)]:
+        for row, vec in sorted(
+                (tuple(sum(map(mul, vec, image)) for image in images)
+                 + (hs[slot][slot],), vec)
+                for vec in candidates[hs[slot][slot] // 2]):
+            prefix = gram + (row,)
+            if best is not None and prefix > best[:slot + 1]:
                 continue
-            if not extends_to_basis(chosen + [vec], k):
-                continue
-            chosen.append(vec)
-            trail.extend(entries)
-            minimize(slot + 1)
-            del trail[len(trail) - len(entries):]
-            chosen.pop()
+            if extends_to_basis(basis + (vec,), k):
+                search(basis + (vec,),
+                       images + (tuple(sum(map(mul, h, vec)) for h in hs),),
+                       prefix)
 
-    minimize(0)
-    return best[0]
+    search((), (), ())
+    return tuple(tuple(best[max(i, j)][min(i, j)] for j in range(k))
+                 for i in range(k))
 
 
 def is_isometric(a: QuadForm, b: QuadForm) -> bool:
@@ -152,12 +147,4 @@ def canonical_form(form: QuadForm) -> QuadForm:
     """Deterministic representative of the isometry class: the
     lexicographically smallest Gram matrix over all bases attaining the
     successive minima on the diagonal."""
-    reduced, _ = minkowski_reduce(form)
-    k = reduced.rank
-    flat = iter(_least_gram(reduced))
-    h = [[0] * k for _ in range(k)]
-    for j in range(k):
-        for i in range(j):
-            h[i][j] = h[j][i] = next(flat)
-        h[j][j] = reduced.hessian[j][j]
-    return QuadForm(tuple(tuple(row) for row in h))
+    return QuadForm(_least_gram(minkowski_reduce(form)[0]))

@@ -161,9 +161,12 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
     with chi = kronecker(dF, p), for 1 <= n <= bound.  (The p !| n case
     is where the middle Hecke term survives; collapsing it into the
     two-term recursion with r(n^2/p^2) = 0 fails already for the sum of
-    four squares at n = 1.)  A p that is not a prime coprime to dF, or a
+    four squares at n = 1.)  The recursion is the weight-2 one, so a form
+    of rank other than 4, a p that is not a prime coprime to dF, or a
     bound below 1, raises ValueError.
     """
+    if form.rank != 4:
+        raise ValueError("rank 4 required")
     if p < 2 or factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not a prime")
     if form.discriminant % p == 0:

@@ -11,7 +11,10 @@ from .forms import QuadForm, congruence_sublattice
 
 def watson_sublattice(form: QuadForm, p: int) -> QuadForm:
     """Unscaled transform: the sublattice of vectors x with H x = 0 (mod p),
-    together with Q(x) even when p = 2."""
+    together with Q(x) even when p = 2.  A p that is not a prime raises
+    ValueError."""
+    if p < 2 or factorize(p) != ((p, 1),):
+        raise ValueError(f"{p} is not a prime")
     sub = congruence_sublattice(form, form.hessian, p)
     if p == 2:
         # Q is linear modulo 2 on the kernel, so one more congruence cut

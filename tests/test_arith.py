@@ -77,7 +77,12 @@ class TestKronecker:
            st.integers(-100, 100))
     @settings(max_examples=200)
     def test_multiplicative_in_top(self, a, b, n):
-        assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+        if n == -1 and a * b == 0 and min(a, b) < 0:
+            # the one exception: (0|-1) = 1, but (0|-1)(b|-1) = -1 for
+            # b < 0
+            assert kronecker(a * b, n) == 1
+        else:
+            assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
     @given(st.integers(-300, 300), st.integers(-100, 100),
            st.integers(-100, 100))
@@ -225,6 +230,21 @@ class TestGoodPrimeRatio:
         assert kronecker(3, 7) == -1
         assert density_ratio(3, 7, 1) == h_factor(3, 7, 1, 4) == 1 - 7 + 49
         assert density_ratio(17, 5, 0) == h_factor(17, 5, 0, 4) == 1
+
+    def test_rejects_negative_mu(self):
+        # Fraction raised a TypeError here before
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            local_density_good(5, 3, -1)
+
+    @pytest.mark.parametrize("p", [9, 15, 1, 0, -3])
+    def test_rejects_non_prime(self, p):
+        # 9 gave 800/729 before
+        with pytest.raises(ValueError, match="not a prime"):
+            local_density_good(5, p, 1)
+
+    def test_rejects_dividing_prime(self):
+        with pytest.raises(ValueError, match="divides"):
+            local_density_good(5, 5, 1)
 
     def test_alpha_ratio_cross_check(self):
         rng = random.Random(7)

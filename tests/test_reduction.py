@@ -9,7 +9,7 @@ import pytest
 from qflab import reduction, theta
 from qflab._matrix import conjugate, extends_to_basis
 from qflab.forms import QuadForm
-from qflab.lattices import all_bundled_forms
+from qflab.lattices import CLASSIFICATION_TABLE, all_bundled_forms
 from qflab.reduction import (_closest, canonical_form, is_isometric,
                              minkowski_reduce)
 from qflab.theta import theta_coeffs
@@ -182,6 +182,23 @@ class TestCanonicalFormWork:
         assert canon == QuadForm.diagonal((1, 1, 2**e, 2**e))
         assert sorted(bounds) == [1, 2**e]
         assert len(vectors) == 12
+
+    def test_table1_search_work(self):
+        """The basis search's work, not its time: canonical_form of the 36
+        Table 1 forms tests 8,406 prefixes for primitivity, one per node it
+        explores.  Pruning the search lowers this on purpose; a change that
+        only restructures it keeps it."""
+        dims = []
+
+        def counting(vectors, dim):
+            dims.append(dim)
+            return extends_to_basis(vectors, dim)
+
+        with mock.patch.object(reduction, "extends_to_basis", counting):
+            for entry in CLASSIFICATION_TABLE:
+                canonical_form(entry.form)
+        assert len(CLASSIFICATION_TABLE) == 36
+        assert len(dims) == 8406
 
 
 class TestAgainstReference:

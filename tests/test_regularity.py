@@ -221,6 +221,13 @@ class TestHeckeRecursion:
         with pytest.raises(ValueError, match="bound must be positive"):
             hecke_square_recursion_check(QuadForm.diagonal((1, 1, 1, 1)), 3, 0)
 
+    @pytest.mark.parametrize("diag", [(1, 1, 1), (1, 1), (1,)])
+    def test_rejects_rank_other_than_4(self, diag):
+        """The recursion is a weight-2 identity; <1,1,1> and <1,1> at
+        p = 3 reported a failed recursion instead."""
+        with pytest.raises(ValueError, match="rank 4 required"):
+            hecke_square_recursion_check(QuadForm.diagonal(diag), 3, 5)
+
 
 class TestGenusPairIdentities:
     def test_parity_split_pair(self):

@@ -75,6 +75,15 @@ class TestWatson:
             tb = theta_coeffs(sub, p * bound)
             assert all(ta[p * n] == tb[p * n] for n in range(bound + 1))
 
+    @pytest.mark.parametrize("p", [4, 9, 15, 1, 0, -3])
+    def test_rejects_non_prime(self, p):
+        """lambda_transform(<1,3,3,9>, 4) returned the form itself and
+        (.., 9) a reordering of it, neither of them lambda_composite's."""
+        form = QuadForm.diagonal((1, 3, 3, 9))
+        for transform in (watson_sublattice, lambda_transform):
+            with pytest.raises(ValueError, match="not a prime"):
+                transform(form, p)
+
     def test_watson_at_two(self):
         form = QuadForm.diagonal((1, 1, 1, 1))
         sub = watson_sublattice(form, 2)
