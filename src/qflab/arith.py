@@ -105,13 +105,17 @@ def h_factor(d_f: int, p: int, mu: int, k: int) -> int:
 
     For even k this is sum_{t=0}^{2 mu} chi^t p^{(k-2)t/2} with
     chi = kronecker((-1)^(k/2) d_f, p); for k = 3 it is the two-term
-    geometric expression with character kronecker(-d_f, p).
+    geometric expression with character kronecker(-d_f, p).  A p that is
+    not a prime coprime to 2 d_f raises ValueError.
     """
     if k not in (3, 4):
         raise ValueError("rank must be 3 or 4")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    if p < 2 or (2 * d_f) % p == 0:
+    # memoised: one cache hit per call on the search's hot path
+    if p < 2 or _factors(p) != ((p, 1),):
+        raise ValueError(f"{p} is not a prime")
+    if (2 * d_f) % p == 0:
         raise ValueError(f"{p} divides 2*dF = {2 * d_f}")
     if k == 4:
         chi = kronecker(d_f, p)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import factorize, h_factor, kronecker, square_split
 from .forms import QuadForm
@@ -132,13 +133,11 @@ def check_indistinguishable(pair: GenusPair, bound: int) -> PairCheck:
     """r(n^2) agreement between the two classes for n <= bound."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    qa = RepQuery(pair.primary, bound * bound)
-    qb = RepQuery(pair.mate, bound * bound)
-    for n in range(1, bound + 1):
-        a, b = qa.count(n * n), qb.count(n * n)
-        if a != b:
-            return PairCheck(pair.name, bound, False, (n, a, b))
-    return PairCheck(pair.name, bound, True, None)
+    ra = cache(RepQuery(pair.primary, bound * bound).count)
+    rb = cache(RepQuery(pair.mate, bound * bound).count)
+    witness = next(((n, ra(n * n), rb(n * n)) for n in range(1, bound + 1)
+                    if ra(n * n) != rb(n * n)), None)
+    return PairCheck(pair.name, bound, witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -174,19 +173,10 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
     if bound < 1:
         raise ValueError("bound must be positive")
     chi = kronecker(form.discriminant, p)
-    query = RepQuery(form, p * p * bound * bound)
-    ok = True
-    r_sq = [1]  # r(n^2) for n = 0, 1, ...
-    for n in range(1, bound + 1):
-        lhs = query.count(p * p * n * n)
-        r_sq.append(query.count(n * n))
-        if n % p == 0:
-            rhs = (p * p + 1) * r_sq[n] - p * p * r_sq[n // p]
-        else:
-            rhs = (p * p + chi * p + 1) * r_sq[n]
-        if lhs != rhs:
-            ok = False
-            break
+    r = cache(RepQuery(form, p * p * bound * bound).count)
+    ok = all(r(p * p * n * n) == (
+        (p * p + 1) * r(n * n) - p * p * r((n // p) ** 2) if n % p == 0
+        else (p * p + chi * p + 1) * r(n * n)) for n in range(1, bound + 1))
     return IdentityReport(
         ((f"square recursion at p={p} for {form.describe()}, n<={bound}", ok),))
 
@@ -195,80 +185,71 @@ def genus_pair_identity_check(which: str, n_max: int,
                               mod5_bound: int | None = None) -> IdentityReport:
     """Verify the displayed counting identities of the three bundled
     genus pairs ("1,2,6,16", "1,1,3,5", "1,2,3,10").  n_max and
-    mod5_bound, when given, must be positive."""
+    mod5_bound, when given, must be positive.  Each lattice's r is one
+    memoised RepQuery count, so each identity reads as one statement over
+    n and shares the counts it has in common with the others."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if mod5_bound is not None and mod5_bound < 1:
         raise ValueError("mod5_bound must be positive")
     which = str(which)
+    if which not in ("1,2,6,16", "1,1,3,5", "1,2,3,10"):
+        raise ValueError(f"unknown genus pair {which!r}")
+    pair = GENUS_PAIRS[which]
     if which == "1,2,6,16":
-        pair = GENUS_PAIRS["1,2,6,16"]
         ta = theta_coeffs(pair.primary, 4 * n_max + 1)
         tb = theta_coeffs(pair.mate, 4 * n_max + 1)
         return IdentityReport((
             (f"r(4n) agreement, n<={n_max}", ta[0::4] == tb[0::4]),
             (f"r(4n+1) agreement, n<={n_max}", ta[1::4] == tb[1::4]),
         ))
+    aux = pair.auxiliaries
+    squares = [n * n for n in range(1, n_max + 1)]
     if which == "1,1,3,5":
-        pair = GENUS_PAIRS["1,1,3,5"]
-        t = pair.auxiliaries["square-core"]
-        k = pair.auxiliaries["unit-core"]
         prec = 9 * n_max * n_max
-        qa = RepQuery(pair.primary, prec)
-        qb = RepQuery(pair.mate, prec)
-        qt = RepQuery(t, prec)
-        qk = RepQuery(k, max(3 * n_max + 1, 4))
-        ok_a = ok_b = consequence = True
-        for n in range(1, n_max + 1):
-            aux = 4 * qt.count(9 * n * n)
-            ra, rb = qa.count(n * n), qb.count(n * n)
-            ok_a = ok_a and qa.count(9 * n * n) == aux - 3 * ra
-            ok_b = ok_b and qb.count(9 * n * n) == aux - 3 * rb
-            consequence = consequence and ra == rb
-        unit = all(qa.count(m) == qb.count(m) == 2 * qk.count(m)
-                   for m in range(1, 3 * n_max + 2, 3))
+        ra = cache(RepQuery(pair.primary, prec).count)
+        rb = cache(RepQuery(pair.mate, prec).count)
+        rt = cache(RepQuery(aux["square-core"], prec).count)
+        rk = cache(RepQuery(aux["unit-core"], max(3 * n_max + 1, 4)).count)
         return IdentityReport((
-            (f"r(9n^2) = 4 r(9n^2, aux) - 3 r(n^2), n<={n_max}", ok_a),
-            (f"mate analogue, n<={n_max}", ok_b),
-            (f"r(3n+1) = 2 r(3n+1, unit-core), n<={n_max}", unit),
-            (f"r(n^2) agreement, n<={n_max}", consequence),
+            (f"r(9n^2) = 4 r(9n^2, aux) - 3 r(n^2), n<={n_max}",
+             all(ra(9 * s) == 4 * rt(9 * s) - 3 * ra(s) for s in squares)),
+            (f"mate analogue, n<={n_max}",
+             all(rb(9 * s) == 4 * rt(9 * s) - 3 * rb(s) for s in squares)),
+            (f"r(3n+1) = 2 r(3n+1, unit-core), n<={n_max}",
+             all(ra(m) == rb(m) == 2 * rk(m)
+                 for m in range(1, 3 * n_max + 2, 3))),
+            (f"r(n^2) agreement, n<={n_max}",
+             all(ra(s) == rb(s) for s in squares)),
         ))
-    if which == "1,2,3,10":
-        pair = GENUS_PAIRS["1,2,3,10"]
-        m = pair.auxiliaries["step-diag"]
-        nn = pair.auxiliaries["step-even"]
-        k1 = pair.auxiliaries["bridge"]
-        k2 = pair.auxiliaries["bridge-mate"]
-        prec = 25 * n_max * n_max
-        qa = RepQuery(pair.primary, prec)
-        qb = RepQuery(pair.mate, prec)
-        qm = RepQuery(m, 5 * n_max * n_max)
-        qn = RepQuery(nn, 5 * n_max * n_max)
-        q1 = RepQuery(k1, prec)
-        q2 = RepQuery(k2, prec)
-        ok_a = ok_b = ok_k1 = ok_k2 = True
-        for n in range(1, n_max + 1):
-            sq = n * n
-            ra, rb, rn = qa.count(sq), qb.count(sq), qn.count(5 * sq)
-            step = 2 * qm.count(5 * sq) + 4 * rn
-            ok_a = ok_a and qa.count(25 * sq) == step - 5 * ra
-            ok_b = ok_b and qb.count(25 * sq) == step - 5 * rb
-            ok_k1 = ok_k1 and q1.count(25 * sq) == 2 * rn - ra
-            ok_k2 = ok_k2 and q2.count(25 * sq) == 2 * rn - rb
-        if mod5_bound is None:
-            mod5_bound = max(n_max, 200)
-        ta = theta_coeffs(pair.primary, mod5_bound)
-        tb = theta_coeffs(pair.mate, mod5_bound)
-        mod5 = all(ta[n] == tb[n] for n in range(1, mod5_bound + 1)
-                   if n % 5 in (1, 4))
-        return IdentityReport((
-            (f"r(25n^2) five-term identity, n<={n_max}", ok_a),
-            (f"mate analogue, n<={n_max}", ok_b),
-            (f"bridge step identity, n<={n_max}", ok_k1),
-            (f"bridge-mate step identity, n<={n_max}", ok_k2),
-            (f"r(n) agreement for n = 1, 4 mod 5, n<={mod5_bound}", mod5),
-        ))
-    raise ValueError(f"unknown genus pair {which!r}")
+    prec = 25 * n_max * n_max
+    ra = cache(RepQuery(pair.primary, prec).count)
+    rb = cache(RepQuery(pair.mate, prec).count)
+    rm = cache(RepQuery(aux["step-diag"], 5 * n_max * n_max).count)
+    rn = cache(RepQuery(aux["step-even"], 5 * n_max * n_max).count)
+    r1 = cache(RepQuery(aux["bridge"], prec).count)
+    r2 = cache(RepQuery(aux["bridge-mate"], prec).count)
+
+    def step(s):  # 2 r_M(5n^2) + 4 r_N(5n^2), shared by both classes
+        return 2 * rm(5 * s) + 4 * rn(5 * s)
+
+    if mod5_bound is None:
+        mod5_bound = max(n_max, 200)
+    ta = theta_coeffs(pair.primary, mod5_bound)
+    tb = theta_coeffs(pair.mate, mod5_bound)
+    return IdentityReport((
+        (f"r(25n^2) five-term identity, n<={n_max}",
+         all(ra(25 * s) == step(s) - 5 * ra(s) for s in squares)),
+        (f"mate analogue, n<={n_max}",
+         all(rb(25 * s) == step(s) - 5 * rb(s) for s in squares)),
+        (f"bridge step identity, n<={n_max}",
+         all(r1(25 * s) == 2 * rn(5 * s) - ra(s) for s in squares)),
+        (f"bridge-mate step identity, n<={n_max}",
+         all(r2(25 * s) == 2 * rn(5 * s) - rb(s) for s in squares)),
+        (f"r(n) agreement for n = 1, 4 mod 5, n<={mod5_bound}",
+         all(ta[n] == tb[n] for n in range(1, mod5_bound + 1)
+             if n % 5 in (1, 4))),
+    ))
 
 
 def theta_difference_vs_quotients(prec: int = 48) -> bool:

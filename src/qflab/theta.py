@@ -431,10 +431,13 @@ class RepQuery:
     any other test; m < 0 and m > prec raise.  b is kept reversed and
     contiguous, since a reversed view gets no BLAS and is slower than an
     int64 dot.  Answers are not remembered: a query is recomputed each
-    time, so a caller that reuses a count keeps it.
+    time, so a caller that reuses a count keeps it.  A prec below 0
+    raises ValueError.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
+        if prec < 0:
+            raise ValueError("prec must be nonnegative")
         self.prec = prec
         blocks = form.orthogonal_blocks()
         blocks.sort(key=attrgetter("rank"), reverse=True)

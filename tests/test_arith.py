@@ -181,6 +181,13 @@ class TestHFactor:
         with pytest.raises(ValueError):
             h_factor(5, 3, 1, 5)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("p", [9, 15, 1, 0, -3])
+    def test_rejects_non_prime(self, p, k):
+        # h_factor(5, 9, 1, 4) gave 91 and h_factor(7, 15, 1, 3) gave 15
+        with pytest.raises(ValueError, match="not a prime"):
+            h_factor(5 if k == 4 else 7, p, 1, k)
+
     @given(st.integers(1, 10**6), st.sampled_from([3, 5, 7, 11, 13, 101]),
            st.integers(0, 6))
     @settings(max_examples=300)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 from unittest import mock
@@ -12,7 +13,7 @@ from qflab.regularity import (check_indistinguishable,
                               is_strongly_s_regular, m_s,
                               genus_pair_identity_check,
                               theta_difference_vs_quotients)
-from qflab.theta import RepQuery, represent_count
+from qflab.theta import RepQuery, represent_count, theta_coeffs
 from qflab.transforms import jordan_symbol_odd, lambda_transform
 
 # first witnesses found by the checker itself, frozen as golden values
@@ -120,26 +121,33 @@ class TestStronglySRegular:
 
 
 class TestCountsAskedOncePerUse:
-    """Each check asks RepQuery for a count once per use: r(n1^2), r(n^2)
-    for the Hecke step and the counts shared by two identities come from
-    the check's own records."""
+    """Each check asks RepQuery for a count once per distinct argument:
+    r(n1^2) comes from the regularity check's own records, and the
+    identity checks read one memoised count per lattice, so a count
+    shared by two identities, or met again as another argument, is asked
+    once."""
 
     def test_strong_regularity_one_query_per_square(self):
         report, calls = count_calls(
             is_strongly_s_regular, QuadForm.diagonal((1, 2, 3, 10)), 100)
         assert report.passed and calls == 100
 
-    def test_hecke_recursion_two_queries_per_n(self):
+    def test_hecke_recursion_one_query_per_argument(self):
+        # r(9n^2) and r(n^2) for n <= 30; the 10 squares (3k)^2 with
+        # k <= 10 are also some 9k^2, asked already
         report, calls = count_calls(
             hecke_square_recursion_check, QuadForm.diagonal((1, 1, 1, 1)),
             3, 30)
-        assert report.passed and calls == 60
+        assert report.passed and calls == 60 - 10
 
     @pytest.mark.parametrize("which, calls_expected", [
-        ("1,2,3,10", 80),  # 8 per n
-        # 5 per n, 3 per m = 3n + 1 for 0 <= n <= 10; the r(n^2)
-        # agreement reuses the loop's r_A(n^2) and r_B(n^2)
-        ("1,1,3,5", 5 * 10 + 3 * 11),
+        # r_A, r_B at n^2 and 25n^2 (two of them meet: n = 5, 10),
+        # r_M, r_N at 5n^2, both bridges at 25n^2
+        ("1,2,3,10", 2 * (20 - 2) + 4 * 10),
+        # r_A, r_B at n^2 and 9n^2 (three meet: n = 3, 6, 9) and at the
+        # 11 m = 3n + 1 <= 31 but the squares 1, 4, 16, 25; the square
+        # core at 9n^2; the unit core at the 11 m
+        ("1,1,3,5", 2 * (20 - 3 + 11 - 4) + 10 + 11),
     ])
     def test_genus_pair_identities(self, which, calls_expected):
         report, calls = count_calls(genus_pair_identity_check, which, 10)
@@ -252,6 +260,28 @@ class TestGenusPairIdentities:
                              == represent_count(mate, 4 * n + r)
                              for n in range(31))
 
+    @pytest.mark.parametrize("which, key, stand_in", [
+        ("1,1,3,5", "square-core", "primary"),
+        ("1,1,3,5", "unit-core", "square-core"),
+        ("1,2,3,10", "step-even", "step-diag"),
+        ("1,2,3,10", "bridge", "step-diag"),
+        ("1,2,3,10", "bridge-mate", "step-even"),
+    ])
+    def test_false_verdicts(self, which, key, stand_in):
+        """With one auxiliary lattice replaced by another, some identity
+        fails, and every verdict matches one computed from theta arrays.
+        (The two cores of 1,1,3,5 agree at 9n^2, and so do the two bridges
+        of 1,2,3,10 at 25n^2, so neither stands in for the other.)"""
+        pair = GENUS_PAIRS[which]
+        lattices = dict(pair.auxiliaries, primary=pair.primary)
+        aux = dict(pair.auxiliaries, **{key: lattices[stand_in]})
+        patched = dataclasses.replace(pair, auxiliaries=aux)
+        with mock.patch.dict(GENUS_PAIRS, {which: patched}):
+            report = genus_pair_identity_check(which, 6, mod5_bound=40)
+        verdicts = [ok for _, ok in report.checks]
+        assert verdicts == _identity_verdicts(patched, 6, 40)
+        assert not all(verdicts)
+
     def test_mod3_pair(self):
         assert genus_pair_identity_check("1,1,3,5", 50).passed
 
@@ -269,6 +299,33 @@ class TestGenusPairIdentities:
     def test_rejects_empty_mod5_bound(self, mod5_bound):
         with pytest.raises(ValueError, match="mod5_bound must be positive"):
             genus_pair_identity_check("1,2,3,10", 5, mod5_bound=mod5_bound)
+
+
+def _identity_verdicts(pair, n_max, mod5_bound):
+    """The verdicts of the 1,1,3,5 or 1,2,3,10 identities, read off
+    theta arrays."""
+    aux = pair.auxiliaries
+    ns = range(1, n_max + 1)
+    if pair.name == "1,1,3,5":
+        a, b, t, k = (theta_coeffs(f, 9 * n_max * n_max) for f in (
+            pair.primary, pair.mate, aux["square-core"], aux["unit-core"]))
+        return [
+            all(a[9 * n * n] == 4 * t[9 * n * n] - 3 * a[n * n] for n in ns),
+            all(b[9 * n * n] == 4 * t[9 * n * n] - 3 * b[n * n] for n in ns),
+            all(a[m] == b[m] == 2 * k[m] for m in range(1, 3 * n_max + 2, 3)),
+            all(a[n * n] == b[n * n] for n in ns),
+        ]
+    a, b, m, e, k1, k2 = (theta_coeffs(f, 25 * n_max * n_max) for f in (
+        pair.primary, pair.mate, aux["step-diag"], aux["step-even"],
+        aux["bridge"], aux["bridge-mate"]))
+    step = {n: 2 * m[5 * n * n] + 4 * e[5 * n * n] for n in ns}
+    return [
+        all(a[25 * n * n] == step[n] - 5 * a[n * n] for n in ns),
+        all(b[25 * n * n] == step[n] - 5 * b[n * n] for n in ns),
+        all(k1[25 * n * n] == 2 * e[5 * n * n] - a[n * n] for n in ns),
+        all(k2[25 * n * n] == 2 * e[5 * n * n] - b[n * n] for n in ns),
+        all(a[n] == b[n] for n in range(1, mod5_bound + 1) if n % 5 in (1, 4)),
+    ]
 
 
 def _prop32_eligible(form, q):

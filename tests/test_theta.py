@@ -855,6 +855,17 @@ class TestRepQuery:
             assert query.count(37) == coeffs[37]
             assert query.count(built) == coeffs[built]
 
+    @pytest.mark.parametrize("form", [
+        QuadForm.diagonal((1,)),  # one half, built at construction
+        QuadForm.diagonal((1, 2, 3, 10)),  # two halves, built on demand
+    ], ids=["one-half", "two-halves"])
+    def test_rejects_negative_prec(self, form):
+        """A negative prec is refused at construction; before, one half
+        failed inside its build and two halves failed on every query."""
+        with pytest.raises(ValueError, match="prec must be nonnegative"):
+            RepQuery(form, -1)
+        assert RepQuery(form, 0).count(0) == 1
+
     @pytest.mark.parametrize("form, halves", [
         (QuadForm.diagonal((1, 2, 3, 10)),
          ((((2,),), ((20,),)), (((4,),), ((6,),)))),
