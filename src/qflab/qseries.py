@@ -26,6 +26,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .arith import factorize, kronecker
+from .report import Check
 from .theta import _dense, _product, _unary_terms
 
 
@@ -272,44 +273,36 @@ def _divisor_series(step: int, prec: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    first_mismatch: tuple[int, int, int] | None  # index, expected, actual
-
-
-def unary_theta_identities(prec: int) -> list[IdentityCheck]:
+def unary_theta_identities(prec: int) -> list[Check]:
     """Verify the classical eta expansions coefficientwise through q^prec:
     eta, eta(2z)^2/eta(z), eta(z)^3 as character sums over squares, and
-    eta(3z)^3/eta(z) as a divisor-character sum."""
+    eta(3z)^3/eta(z) as a divisor-character sum.  A failed check names
+    its first mismatch in the q^(1/24) grading."""
     if prec < 24:
         raise ValueError("precision must be at least 24")
     target = 24 * prec
-    checks = []
 
     def compare(name, exponents, rhs):
         lhs = _series24(exponents, target)
-        for idx, ri in enumerate(rhs.tolist()):
-            le = lhs.coeff(idx)
-            if le != ri:
-                checks.append(IdentityCheck(name, False, (idx, ri, le)))
-                return
-        checks.append(IdentityCheck(name, True, None))
+        mismatch = next((f"first mismatch at q^({idx}/24): expected {ri}, "
+                         f"actual {lhs.coeff(idx)}"
+                         for idx, ri in enumerate(rhs.tolist())
+                         if lhs.coeff(idx) != ri), "")
+        return Check(name, not mismatch, mismatch)
 
     def squares(ratio, char, weight=0):
         """(1/2) sum_{n in Z} (char|n) n^weight q^(ratio n^2 / 24)."""
         return _dense(_unary_terms(ratio, target, char, weight), target) // 2
 
-    compare("eta(z) = (1/2) sum (12|n) q^(n^2/24)",
-            ((1, 1),), squares(1, 12))
-    compare("eta(2z)^2/eta(z) = (1/2) sum (4|n) q^(n^2/8)",
-            ((1, -1), (2, 2)), squares(3, 4))
-    compare("eta(z)^3 = (1/2) sum (-4|n) n q^(n^2/8)",
-            ((1, 3),), squares(3, -4, 1))
-    compare("eta(3z)^3/eta(z) = sum_{3 !| n} (sum_{d|n} (d|3)) q^(n/3)",
-            ((1, -1), (3, 3)), _divisor_series(8, target))
-    return checks
+    return [
+        compare("eta(z) = (1/2) sum (12|n) q^(n^2/24)",
+                ((1, 1),), squares(1, 12)),
+        compare("eta(2z)^2/eta(z) = (1/2) sum (4|n) q^(n^2/8)",
+                ((1, -1), (2, 2)), squares(3, 4)),
+        compare("eta(z)^3 = (1/2) sum (-4|n) n q^(n^2/8)",
+                ((1, 3),), squares(3, -4, 1)),
+        compare("eta(3z)^3/eta(z) = sum_{3 !| n} (sum_{d|n} (d|3)) q^(n/3)",
+                ((1, -1), (3, 3)), _divisor_series(8, target))]
 
 
 # -- the three weight-2 level-120 cusp quotients -------------------------

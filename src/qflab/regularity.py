@@ -20,6 +20,7 @@ from .arith import factorize, h_factor, kronecker, square_split
 from .forms import QuadForm
 from .lattices import GENUS_PAIRS, GenusPair
 from .qseries import LEVEL120_QUOTIENTS, eta_quotient_expansion
+from .report import Check, SuiteReport
 from .theta import RepQuery, represent_count, theta_coeffs
 
 
@@ -121,36 +122,20 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
                             counterexample is None, counterexample)
 
 
-@dataclass(frozen=True)
-class PairCheck:
-    name: str
-    bound: int
-    passed: bool
-    counterexample: tuple[int, int, int] | None
-
-
-def check_indistinguishable(pair: GenusPair, bound: int) -> PairCheck:
-    """r(n^2) agreement between the two classes for n <= bound."""
+def check_indistinguishable(pair: GenusPair, bound: int) -> Check:
+    """r(n^2) agreement between the two classes for n <= bound; a failure
+    names the first n and its two counts."""
     if bound < 1:
         raise ValueError("bound must be positive")
     ra = cache(RepQuery(pair.primary, bound * bound).count)
     rb = cache(RepQuery(pair.mate, bound * bound).count)
-    witness = next(((n, ra(n * n), rb(n * n)) for n in range(1, bound + 1)
-                    if ra(n * n) != rb(n * n)), None)
-    return PairCheck(pair.name, bound, witness is None, witness)
+    witness = next((f"witness n={n}: {ra(n * n)} != {rb(n * n)}"
+                    for n in range(1, bound + 1) if ra(n * n) != rb(n * n)), "")
+    return Check(f"[pair {pair.name}] r(n^2) agreement, n<={bound}",
+                 not witness, witness)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
-def hecke_square_recursion_check(form: QuadForm, p: int,
-                                 bound: int) -> IdentityReport:
+def hecke_square_recursion_check(form: QuadForm, p: int, bound: int) -> Check:
     """Square-argument recursion at a prime coprime to the discriminant,
     for lattices whose genus is indistinguishable by squares:
 
@@ -162,7 +147,7 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
     two-term recursion with r(n^2/p^2) = 0 fails already for the sum of
     four squares at n = 1.)  The recursion is the weight-2 one, so a form
     of rank other than 4, a p that is not a prime coprime to dF, or a
-    bound below 1, raises ValueError.
+    bound below 1, raises ValueError.  A failed check names its first n.
     """
     if form.rank != 4:
         raise ValueError("rank 4 required")
@@ -174,20 +159,20 @@ def hecke_square_recursion_check(form: QuadForm, p: int,
         raise ValueError("bound must be positive")
     chi = kronecker(form.discriminant, p)
     r = cache(RepQuery(form, p * p * bound * bound).count)
-    ok = all(r(p * p * n * n) == (
+    bad = next((n for n in range(1, bound + 1) if r(p * p * n * n) != (
         (p * p + 1) * r(n * n) - p * p * r((n // p) ** 2) if n % p == 0
-        else (p * p + chi * p + 1) * r(n * n)) for n in range(1, bound + 1))
-    return IdentityReport(
-        ((f"square recursion at p={p} for {form.describe()}, n<={bound}", ok),))
+        else (p * p + chi * p + 1) * r(n * n))), None)
+    return Check(f"square recursion at p={p} for {form.describe()}, n<={bound}",
+                 bad is None, f"witness n={bad}" if bad else "")
 
 
 def genus_pair_identity_check(which: str, n_max: int,
-                              mod5_bound: int | None = None) -> IdentityReport:
+                              mod5_bound: int | None = None) -> SuiteReport:
     """Verify the displayed counting identities of the three bundled
-    genus pairs ("1,2,6,16", "1,1,3,5", "1,2,3,10").  n_max and
-    mod5_bound, when given, must be positive.  Each lattice's r is one
-    memoised RepQuery count, so each identity reads as one statement over
-    n and shares the counts it has in common with the others."""
+    genus pairs ("1,2,6,16", "1,1,3,5", "1,2,3,10"), as checks named
+    "[pair <which>] ...".  n_max and mod5_bound, when given, must be
+    positive.  Each lattice's r is one memoised RepQuery count, so each
+    identity reads as one statement over n and shares its counts."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if mod5_bound is not None and mod5_bound < 1:
@@ -196,13 +181,17 @@ def genus_pair_identity_check(which: str, n_max: int,
     if which not in ("1,2,6,16", "1,1,3,5", "1,2,3,10"):
         raise ValueError(f"unknown genus pair {which!r}")
     pair = GENUS_PAIRS[which]
+
+    def report(*checks):  # the one place the pair's prefix goes on
+        return SuiteReport(f"genus pair {which} (n_max {n_max})", [
+            Check(f"[pair {which}] {label}", ok) for label, ok in checks])
+
     if which == "1,2,6,16":
         ta = theta_coeffs(pair.primary, 4 * n_max + 1)
         tb = theta_coeffs(pair.mate, 4 * n_max + 1)
-        return IdentityReport((
+        return report(
             (f"r(4n) agreement, n<={n_max}", ta[0::4] == tb[0::4]),
-            (f"r(4n+1) agreement, n<={n_max}", ta[1::4] == tb[1::4]),
-        ))
+            (f"r(4n+1) agreement, n<={n_max}", ta[1::4] == tb[1::4]))
     aux = pair.auxiliaries
     squares = [n * n for n in range(1, n_max + 1)]
     if which == "1,1,3,5":
@@ -211,7 +200,7 @@ def genus_pair_identity_check(which: str, n_max: int,
         rb = cache(RepQuery(pair.mate, prec).count)
         rt = cache(RepQuery(aux["square-core"], prec).count)
         rk = cache(RepQuery(aux["unit-core"], max(3 * n_max + 1, 4)).count)
-        return IdentityReport((
+        return report(
             (f"r(9n^2) = 4 r(9n^2, aux) - 3 r(n^2), n<={n_max}",
              all(ra(9 * s) == 4 * rt(9 * s) - 3 * ra(s) for s in squares)),
             (f"mate analogue, n<={n_max}",
@@ -220,8 +209,7 @@ def genus_pair_identity_check(which: str, n_max: int,
              all(ra(m) == rb(m) == 2 * rk(m)
                  for m in range(1, 3 * n_max + 2, 3))),
             (f"r(n^2) agreement, n<={n_max}",
-             all(ra(s) == rb(s) for s in squares)),
-        ))
+             all(ra(s) == rb(s) for s in squares)))
     prec = 25 * n_max * n_max
     ra = cache(RepQuery(pair.primary, prec).count)
     rb = cache(RepQuery(pair.mate, prec).count)
@@ -237,7 +225,7 @@ def genus_pair_identity_check(which: str, n_max: int,
         mod5_bound = max(n_max, 200)
     ta = theta_coeffs(pair.primary, mod5_bound)
     tb = theta_coeffs(pair.mate, mod5_bound)
-    return IdentityReport((
+    return report(
         (f"r(25n^2) five-term identity, n<={n_max}",
          all(ra(25 * s) == step(s) - 5 * ra(s) for s in squares)),
         (f"mate analogue, n<={n_max}",
@@ -248,8 +236,7 @@ def genus_pair_identity_check(which: str, n_max: int,
          all(r2(25 * s) == 2 * rn(5 * s) - rb(s) for s in squares)),
         (f"r(n) agreement for n = 1, 4 mod 5, n<={mod5_bound}",
          all(ta[n] == tb[n] for n in range(1, mod5_bound + 1)
-             if n % 5 in (1, 4))),
-    ))
+             if n % 5 in (1, 4))))
 
 
 def theta_difference_vs_quotients(prec: int = 48) -> bool:

@@ -4,57 +4,15 @@ and the level-120 eta-quotient data."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .lattices import (CLASSIFICATION_TABLE, GENUS_PAIRS, GROUP_15,
                        GROUP_COPRIME3, GROUP_ONLY3)
 from .qseries import (LEVEL120_QUOTIENTS, cusp_orders, eta_quotient_expansion,
                       quotient_coefficient, newman_check, sturm_bound)
 from .regularity import (check_indistinguishable, is_strongly_s_regular,
                          genus_pair_identity_check, theta_difference_vs_quotients)
+from .report import Check, SuiteReport
 
 GROUP_ORDER = (GROUP_COPRIME3, GROUP_ONLY3, GROUP_15)
-
-
-@dataclass(frozen=True)
-class CheckLine:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class SuiteReport:
-    name: str
-    lines: list[CheckLine]
-    data: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(line.passed for line in self.lines)
-
-    def to_text(self) -> str:
-        rows = [f"== {self.name} =="]
-        for line in self.lines:
-            mark = "PASS" if line.passed else "FAIL"
-            detail = f"  {line.detail}" if line.detail else ""
-            rows.append(f"[{mark}] {line.name}{detail}")
-        rows.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(rows)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "suite": self.name,
-            "verdict": "pass" if self.passed else "fail",
-            "checks": [{"name": l.name,
-                        "verdict": "pass" if l.passed else "fail",
-                        "detail": l.detail} for l in self.lines],
-        }, indent=2)
-
-    def csv_rows(self) -> list[list]:
-        return [[self.name, l.name, "pass" if l.passed else "fail", l.detail]
-                for l in self.lines]
 
 
 def run_table1(bound: int = 300, cache=None) -> SuiteReport:
@@ -82,17 +40,14 @@ def run_table1(bound: int = 300, cache=None) -> SuiteReport:
                       if witness else "unexpectedly passed")
         label = "pass" if entry.expected_pass else "fail"
         name = f"<{','.join(map(str, entry.diagonal))}> expected {label}"
-        lines.append(CheckLine(name, ok, detail))
+        lines.append(Check(name, ok, detail))
         rows.append(report.to_dict() | {"group": entry.group,
                                         "expected": label})
         if entry.expected_pass and report.passed:
             by_group[entry.group].append(entry.diagonal)
-    counts = {g: len(v) for g, v in by_group.items()}
-    expected_counts = {GROUP_COPRIME3: 18, GROUP_ONLY3: 14, GROUP_15: 2}
-    lines.append(CheckLine(
-        "group sizes 18/14/2",
-        counts == expected_counts,
-        f"observed {counts[GROUP_COPRIME3]}/{counts[GROUP_ONLY3]}/{counts[GROUP_15]}"))
+    sizes = [len(by_group[g]) for g in GROUP_ORDER]
+    lines.append(Check("group sizes 18/14/2", sizes == [18, 14, 2],
+                       "observed " + "/".join(map(str, sizes))))
     return SuiteReport(f"classification table (bound {bound})", lines,
                        data={"rows": rows})
 
@@ -110,20 +65,14 @@ def table1_markdown(report: SuiteReport) -> str:
 def run_props(n_max: int = 500) -> SuiteReport:
     """All displayed genus-pair identities, plus the theta-difference
     comparison against the level-120 quotients through the Sturm bound."""
-    lines = []
-    rep = genus_pair_identity_check("1,2,6,16", n_max)
-    lines += [CheckLine(f"[pair 1,2,6,16] {n}", ok) for n, ok in rep.checks]
-    rep = genus_pair_identity_check("1,1,3,5", min(n_max, 50))
-    lines += [CheckLine(f"[pair 1,1,3,5] {n}", ok) for n, ok in rep.checks]
-    consequence = check_indistinguishable(GENUS_PAIRS["1,1,3,5"],
-                                          min(n_max, 100))
-    lines.append(CheckLine(
-        f"[pair 1,1,3,5] r(n^2) agreement, n<={consequence.bound}",
-        consequence.passed))
-    rep = genus_pair_identity_check("1,2,3,10", min(n_max, 30), mod5_bound=n_max)
-    lines += [CheckLine(f"[pair 1,2,3,10] {n}", ok) for n, ok in rep.checks]
+    lines = (genus_pair_identity_check("1,2,6,16", n_max).lines
+             + genus_pair_identity_check("1,1,3,5", min(n_max, 50)).lines
+             + [check_indistinguishable(GENUS_PAIRS["1,1,3,5"],
+                                        min(n_max, 100))]
+             + genus_pair_identity_check("1,2,3,10", min(n_max, 30),
+                                         mod5_bound=n_max).lines)
     sturm = sturm_bound(120, 2)
-    lines.append(CheckLine(
+    lines.append(Check(
         f"theta difference matches quotient combination through {sturm} coefficients",
         sturm == 48 and theta_difference_vs_quotients(sturm)))
     return SuiteReport(f"genus-pair identities (n_max {n_max})", lines)
@@ -140,6 +89,7 @@ def run_lemma54(prec: int = 200) -> SuiteReport:
         3: {7: 1, 8: 1, 10: 1, 12: -1, 15: -1, 18: -2, 20: -1},
     }
     leading_zero_windows = {1: range(1, 19), 2: range(1, 16), 3: range(1, 21)}
+    vanish_top = min(prec, 200)
     lines = []
     for i in (1, 2, 3):
         eq = LEVEL120_QUOTIENTS[i]
@@ -147,23 +97,23 @@ def run_lemma54(prec: int = 200) -> SuiteReport:
         window_ok = all(
             series.coeff(n) == printed[i].get(n, 0)
             for n in leading_zero_windows[i])
-        lines.append(CheckLine(f"quotient {i}: printed expansion prefix",
-                               window_ok))
+        lines.append(Check(f"quotient {i}: printed expansion prefix",
+                           window_ok))
         sums_ok = all(series.coeff(n) == quotient_coefficient(i, n)
-                      for n in range(1, min(prec, 60) + 1))
-        lines.append(CheckLine(
+                      for n in range(1, 61))
+        lines.append(Check(
             f"quotient {i}: lattice sums match expansion, n<=60", sums_ok))
         vanish_ok = all(series.coeff(n) == 0 and quotient_coefficient(i, n) == 0
-                        for n in range(1, min(prec, 200) + 1)
-                        if n % 5 in (1, 4))
-        lines.append(CheckLine(
-            f"quotient {i}: coefficients vanish for n = 1, 4 mod 5, n<=200",
+                        for n in range(1, vanish_top + 1) if n % 5 in (1, 4))
+        lines.append(Check(
+            f"quotient {i}: coefficients vanish for n = 1, 4 mod 5, "
+            f"n<={vanish_top}",
             vanish_ok))
         newman = newman_check(eq)
-        lines.append(CheckLine(
+        lines.append(Check(
             f"quotient {i}: weight 2 and both mod-24 congruences",
             newman.holds and newman.weight == 2))
         cusps = cusp_orders(eq)
-        lines.append(CheckLine(
+        lines.append(Check(
             f"quotient {i}: strictly positive cusp orders", cusps.is_cusp_form))
     return SuiteReport(f"level-120 quotient data (prec {prec})", lines)

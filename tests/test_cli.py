@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -309,6 +310,43 @@ class TestCli:
         header, *rows = out.strip().splitlines()
         assert header.startswith("form,dF,ms,verdict")
         assert all(",pass," in row for row in rows)
+
+
+# sha256 of stdout and the exit code of each suite and sreg output,
+# recorded before Check and SuiteReport became the one verdict record;
+# a change to any name, detail, verdict or layout shows here
+GOLDEN_OUTPUTS = {
+    ("verify props --nmax 40", "text"):
+        (0, "2b9537327d870a5298ad36bf5a62b1b09ff1ee5f15b92834ab90673287835f83"),
+    ("verify props --nmax 40", "json"):
+        (0, "a81e4e7374a7cb03b57818b627f51e6b6fcf0bd74f5fed6de1dc93f2a9b005a4"),
+    ("verify props --nmax 40", "csv"):
+        (0, "7cbf91fbdfe4a2330e382b1ec60cc7c02ae6ce6cbc04cebb9d112657dcda45bd"),
+    ("verify lemma54 --prec 200", "text"):
+        (0, "24ff33b594f2a78c7e2e62d0f602fd0f430db06d5c816b28cdd4e14590e4fa78"),
+    ("verify lemma54 --prec 200", "json"):
+        (0, "047298d3212701fedd136e0af4d13f739e258868852165370cce1fede8253c0f"),
+    ("verify lemma54 --prec 200", "csv"):
+        (0, "e0b47715222a4a910cbdfdcc325485bb0f1cb56e11d0d4cf0ac5249e9d28edfb"),
+    ("verify table1 --bound 50", "text"):
+        (0, "082101f88a42229f5a82bd5ed9208711361fb39446b7664cefcbe1796f0b22ab"),
+    ("verify table1 --bound 50", "json"):
+        (0, "5693818c29085a4052ad410aaad61bab27e530bd36cd5a8ace9da317a2e1a641"),
+    ("verify table1 --bound 50", "csv"):
+        (0, "980b1dadfeed4344bec7e5f586a3919196532ca01cc02c061dda4b276726a5a5"),
+    ("sreg --form 1,2,3,3 --bound 50", "json"):
+        (1, "59bf6081bbcea330b6997aee406475197ddced83861df91ae5aaceaa0b1d265c"),
+    ("sreg --form 1,2,3,3 --bound 50", "csv"):
+        (1, "e9253ff07a6e8175c2a49819de13abc233bd28b2c43c367440cefb1cd76532d7"),
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(GOLDEN_OUTPUTS),
+                         ids=[f"{c} {f}" for c, f in sorted(GOLDEN_OUTPUTS)])
+def test_golden_output_bytes(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, *command.split(), "--out", fmt)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN_OUTPUTS[command, fmt]
 
 
 def readme_cli_examples():

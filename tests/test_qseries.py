@@ -155,6 +155,24 @@ class TestEtaExpansion:
     def test_unary_identity_suite(self):
         for check in unary_theta_identities(60):
             assert check.passed, check
+            assert check.detail == ""
+
+    def test_unary_identity_names_its_first_mismatch(self, monkeypatch):
+        """With the divisor series off by one at q^(16/24) (where it is 0:
+        the divisor-character sum of 2 is 1 - 1), only the last identity
+        fails, and its detail names that coefficient."""
+        real = qseries._divisor_series
+
+        def off_by_one(step, prec):
+            out = real(step, prec)
+            out[16] += 1
+            return out
+
+        monkeypatch.setattr(qseries, "_divisor_series", off_by_one)
+        checks = unary_theta_identities(60)
+        assert [check.passed for check in checks] == [True, True, True, False]
+        assert checks[-1].detail == (
+            "first mismatch at q^(16/24): expected 1, actual 0")
 
     def test_matches_earlier_path(self):
         for scale in range(1, 7):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import pytest
 
+from qflab.arith import kronecker
 from qflab.forms import QuadForm
 from qflab.lattices import (EXPECTED_DISCRIMINANTS, GENUS_PAIRS, CLASSIFICATION_TABLE,
                             GenusPair, all_bundled_forms, classification_passing)
@@ -202,9 +203,21 @@ class TestIndistinguishable:
 
     def test_report_fields(self):
         report = check_indistinguishable(GENUS_PAIRS["1,1,3,5"], 30)
-        assert report.passed and report.bound == 30
-        assert report.name == "1,1,3,5"
-        assert report.counterexample is None
+        assert report.passed
+        assert report.name == "[pair 1,1,3,5] r(n^2) agreement, n<=30"
+        assert report.detail == ""
+
+    def test_failure_names_its_witness(self):
+        """<1,1,3,5> and <1,1,1,15> share a discriminant but not r(1):
+        4 against 6, so the check fails at n = 1 and says so."""
+        pair = GenusPair("x", QuadForm.diagonal((1, 1, 3, 5)),
+                         QuadForm.diagonal((1, 1, 1, 15)))
+        report = check_indistinguishable(pair, 10)
+        assert not report.passed
+        assert report.name == "[pair x] r(n^2) agreement, n<=10"
+        assert report.detail == "witness n=1: 4 != 6"
+        assert (represent_count(pair.primary, 1),
+                represent_count(pair.mate, 1)) == (4, 6)
 
 
 class TestHeckeRecursion:
@@ -215,6 +228,20 @@ class TestHeckeRecursion:
     def test_passes(self, diag, p):
         report = hecke_square_recursion_check(QuadForm.diagonal(diag), p, 30)
         assert report.passed
+
+    def test_failure_names_its_witness(self):
+        """<1,2,3,3> fails the square-regularity check, and its square
+        recursion at p = 5 fails too; the witness is the first n at which
+        the walker's counts break the recursion."""
+        form = QuadForm.diagonal((1, 2, 3, 3))
+        report = hecke_square_recursion_check(form, 5, 30)
+        assert not report.passed
+        assert report.name == "square recursion at p=5 for 1,2,3,3, n<=30"
+        chi = kronecker(form.discriminant, 5)
+        r1, r4, r25, r100 = (represent_count(form, m) for m in (1, 4, 25, 100))
+        assert r25 == (25 + 5 * chi + 1) * r1
+        assert r100 != (25 + 5 * chi + 1) * r4
+        assert report.detail == "witness n=2"
 
     def test_rejects_dividing_prime(self):
         with pytest.raises(ValueError):
@@ -254,7 +281,9 @@ class TestGenusPairIdentities:
         pair = SimpleNamespace(primary=primary, mate=mate)
         with mock.patch.dict(GENUS_PAIRS, {"1,2,6,16": pair}):
             report = genus_pair_identity_check("1,2,6,16", 30)
-        assert [ok for _, ok in report.checks] == [even, odd]
+        assert [check.passed for check in report.lines] == [even, odd]
+        assert all(check.name.startswith("[pair 1,2,6,16] ")
+                   for check in report.lines)
         for r, ok in ((0, even), (1, odd)):
             assert ok == all(represent_count(primary, 4 * n + r)
                              == represent_count(mate, 4 * n + r)
@@ -278,7 +307,7 @@ class TestGenusPairIdentities:
         patched = dataclasses.replace(pair, auxiliaries=aux)
         with mock.patch.dict(GENUS_PAIRS, {which: patched}):
             report = genus_pair_identity_check(which, 6, mod5_bound=40)
-        verdicts = [ok for _, ok in report.checks]
+        verdicts = [check.passed for check in report.lines]
         assert verdicts == _identity_verdicts(patched, 6, 40)
         assert not all(verdicts)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -57,6 +58,13 @@ class TestRunLemma54:
     def test_rejects_small_precision(self):
         with pytest.raises(ValueError):
             run_lemma54(30)
+
+    def test_scope_labels_within_precision(self):
+        """Every "n<=K" a check names is a range it checked: at prec 60
+        the vanishing classes are checked through 60, not 200."""
+        names = [line.name for line in run_lemma54(60).lines]
+        bounds = [int(m) for n in names for m in re.findall(r"n<=(\d+)", n)]
+        assert len(bounds) == 6 and max(bounds) <= 60
 
     def test_json_schema(self):
         data = json.loads(run_lemma54(60).to_json())
