@@ -82,9 +82,10 @@ def is_strongly_s_regular(form: QuadForm, bound: int = 300,
                           cache=None) -> RegularityReport:
     """Check the square-regularity equation for every n <= bound.
 
-    Theta data to precision bound^2 is prepared once; each n is then one
-    point query, r(n1^2) from an earlier n, and a product of good-prime
-    factors.
+    One RepQuery to precision bound^2 answers every r(n^2); its halves
+    grow on demand, so a form that fails early builds only small ones.
+    Each n is one point query, r(n1^2) from an earlier n, and a product
+    of good-prime factors.
     """
     if bound < 1:
         raise ValueError("bound must be positive")

@@ -29,10 +29,14 @@ product of unary thetas, as in every Table 1 half, reads only their
 nonzero terms, and an array is scanned once for its own.  A `RepQuery`
 of one half is an int64 lookup array built at once; two halves grow on
 demand, their partial builds memoised in `_half` and shared, read-only,
-by every query that builds them.  Each of two halves is a `_float_half`,
-float32 below 2^24, and a query is one BLAS dot, certified exact when a
-float32 result is below 2^24 and else recomputed in float64, which a
-2^53 guard keeps exact.
+by every query that builds them, one side each.  Each of two halves is
+kept by `_float_classes` as its nonzero residue classes, mod 8 in a
+build past `_CLASS_MIN` and else one class mod 1, float32 below 2^24.
+Squares are 0, 1 or 4 mod 8, so a Table 1 half is zero on whole
+classes; a query is one BLAS dot per pair of nonzero classes whose
+residues add up to its own, each certified exact when a float32 result
+is below 2^24 and else recomputed in float64, which a 2^53 guard keeps
+exact.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ _SPARSE_MIN_WORK = 1 << 20
 _SPARSE_DENSITY = 16
 _PAIR_CHUNK = 1 << 17
 _PARTIAL_MAX = 4096  # RepQuery builds past this go straight to prec
+_CLASSES, _CLASS_MIN = 8, 1 << 15  # RepQuery's residue classes, see there
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -334,26 +339,35 @@ def _theta(blocks, prec: int) -> np.ndarray:
                      for part in parts], prec)
 
 
-def _float_half(arr: np.ndarray, *pieces) -> tuple[np.ndarray, int]:
-    """The pieces, views of the theta arr, as one read-only array, with
-    max(arr): float32 when that maximum is below 2^24, else float64."""
+def _float_classes(arr: np.ndarray, mod: int,
+                   reverse: bool) -> tuple[list, int]:
+    """The residue classes arr[r::mod] of the theta arr that are not all
+    zero, as pairs (r, class), each class one read-only contiguous array,
+    reversed when reverse is set; and max(arr).  The classes are float32
+    when that maximum is below 2^24, else float64."""
     top = int(arr.max())
-    out = np.concatenate(pieces,
-                         dtype=np.float32 if top < _F32_EXACT else np.float64)
-    out.flags.writeable = False
-    return out, top
+    dtype = np.float32 if top < _F32_EXACT else np.float64
+    kept = []
+    for r in range(mod):
+        cls = arr[r::mod]
+        cls = np.array(cls[::-1] if reverse else cls, dtype=dtype)
+        # one class is all zero when top is, and needs no second scan
+        if cls.any() if mod > 1 else top:
+            cls.flags.writeable = False
+            kept.append((r, cls))
+    return kept, top
 
 
-# partial builds stop at _PARTIAL_MAX: at most about 8 MB of float32 arrays
+# partial builds stop at _PARTIAL_MAX: at most about 4 MB of float32 arrays
 @lru_cache(maxsize=256)
-def _half(blocks: tuple[QuadForm, ...], n: int) -> tuple[np.ndarray, int]:
-    """The _float_half of the _theta through n of a RepQuery half, then
-    the same reversed: a query takes a from the front of one half and b
-    from the back of the other, and the maxima give its 2^53 guard
-    without a rescan.  Shared read-only by every query that builds the
-    same half partially."""
-    arr = _theta(blocks, n)
-    return _float_half(arr, arr, arr[::-1])
+def _half(blocks: tuple[QuadForm, ...], n: int,
+          reverse: bool) -> tuple[list, int]:
+    """The _float_classes mod 1 of the _theta through n of a RepQuery
+    half: forward for the half a query reads from the front, reversed
+    for the one it reads from the back.  The maximum gives the query's
+    2^53 guard without a rescan.  Shared read-only by every query that
+    builds the same half partially on the same side."""
+    return _float_classes(_theta(blocks, n), 1, reverse)
 
 
 def _theta_array(form: QuadForm, n_max: int) -> np.ndarray:
@@ -402,37 +416,46 @@ class RepQuery:
     the _theta of its blocks.
 
     One half is built at prec at construction, as an int64 array, and a
-    query is a lookup.  Two halves grow on demand, and a query is one
-    dot product of their thetas: a query past the built precision
-    rebuilds both at max(m, 4 x built, 64), or at prec once that passes
-    _PARTIAL_MAX, so a failing check stops at a small sweep.  Partial
-    halves come from the memo `_half`, so checks of forms that share a
-    half (as the diagonal search's do) sweep it once per precision; the
-    build at prec is never memoised: an unbounded memo of the int64
-    builds at prec raised the peak RSS of run_table1(600) from 42 to
-    95 MB, and only 21 of a pass's 68 builds at prec are distinct.  Only
-    the build at prec asks `cache`, one lookup per block, for r(0..n) as
-    integers: a longer result is cut to n + 1 entries, and a shorter or
-    non-integer one raises ValueError.
-
-    Each of the two halves is a `_float_half`, float32 when its maximum
-    is below 2^24 (every half that fits in memory), else float64.  A dot
-    of two float32 halves whose result is below 2^24 is certified exact:
-    the terms are nonnegative, so in any summation order, with or without
-    FMA, each step's exact value lies between 0 and the true total.
-    Rounding is monotone and 2^24 is a float32, so once a step reaches
-    2^24 the result stays there; a result below it means every step was
-    an integer below 2^24, which float32 holds exactly.  Any other
-    float32 result is recomputed once as a float64 dot of the same
-    slices, and a dot with a float64 half is float64.  float64 is exact
-    in any summation order: every build raises OverflowError unless
-    max(a) max(b) (n + 1), which bounds each term and partial sum, is
-    below 2^53.  A query within the built precision is answered before
-    any other test; m < 0 and m > prec raise.  b is kept reversed and
-    contiguous, since a reversed view gets no BLAS and is slower than an
-    int64 dot.  Answers are not remembered: a query is recomputed each
-    time, so a caller that reuses a count keeps it.  A prec below 0
+    query is a lookup.  Two halves grow on demand, and a query is a sum
+    of dot products of their thetas' classes (below): a query past the
+    built precision rebuilds both at max(m, 4 x built, 64), or at prec
+    once that passes _PARTIAL_MAX, so a failing check stops at a small
+    sweep.  Partial halves come from the memo `_half`, so checks of
+    forms that share a half on the same side (as the diagonal search's
+    do) sweep it once per precision; the build at prec is never
+    memoised: an unbounded memo of the int64 builds at prec raised the
+    peak RSS of run_table1(600) from 42 to 95 MB, and only 21 of a
+    pass's 68 builds at prec are distinct.  Only the build at prec asks
+    `cache`, one lookup per block, for r(0..n) as integers: a longer
+    result is cut to n + 1 entries, and a shorter or non-integer one
     raises ValueError.
+
+    Each of the two halves is kept by `_float_classes` as its nonzero
+    residue classes, mod _CLASSES in a build past _CLASS_MIN and else
+    one class mod 1: class r of a is a[r::8], class s of b is b[s::8]
+    reversed and contiguous, since a reversed view gets no BLAS.  r(m)
+    is the sum in Python ints of one dot of about m / 8 terms per pair
+    of classes with r + s = m (mod 8); the pairs of the 34 passing
+    Table 1 forms hold 38.8% of the dense dots' terms.  Each pair is one
+    Python-level dot, so below _CLASS_MIN (where run_props builds its
+    genus-pair forms) one class answers faster.  A half is float32 when
+    its maximum is below 2^24 (every half that fits in memory), else
+    float64.  A class dot of two float32 halves whose result is below
+    2^24 is certified exact: the terms are nonnegative, so in any
+    summation order, with or without FMA, each step's exact value lies
+    between 0 and the true total.  Rounding is monotone and 2^24 is a
+    float32, so once a step reaches 2^24 the result stays there; a
+    result below it means every step was an integer below 2^24, which
+    float32 holds exactly.  Any other float32 result is recomputed once
+    as a float64 dot of the same slices, and a dot with a float64 half
+    is float64.  float64 is exact
+    in any summation order: every build raises OverflowError unless
+    max(a) max(b) (n + 1), which bounds each term and partial sum of
+    every class dot, is below 2^53.  A query within the built precision
+    is answered before any other test; m < 0 and m > prec raise.
+    Answers are not remembered: a query is recomputed each time, so a
+    caller that reuses a count keeps it.  A prec below 0 raises
+    ValueError.
     """
 
     def __init__(self, form: QuadForm, prec: int, cache=None):
@@ -451,7 +474,7 @@ class RepQuery:
             r_take += blk.rank
         self._halves = (tuple(take), tuple(other))
         self._cache = cache
-        self._a, self._b, self._built = None, None, -1
+        self._a, self._b, self._pairs, self._built = None, None, None, -1
         if not other:
             self._a, self._built = self._whole(self._halves[0]), prec
 
@@ -465,19 +488,25 @@ class RepQuery:
 
     def _build(self, n: int) -> None:
         # free the old halves first, so old and new never coexist in memory
-        self._a, self._b, self._built = None, None, -1
+        self._a, self._b, self._pairs, self._built = None, None, None, -1
+        mod = _CLASSES if n > _CLASS_MIN else 1
+        first, second = self._halves
         if n < self.prec:
-            (a, top_a), (b, top_b) = (_half(half, n) for half in self._halves)
+            (a, top_a), (b, top_b) = (_half(first, n, False),
+                                      _half(second, n, True))
         else:
             # one half at a time, so no two int64 halves coexist
-            arr = self._whole(self._halves[0])
-            a, top_a = _float_half(arr, arr)
-            del arr
-            arr = self._whole(self._halves[1])
-            b, top_b = _float_half(arr, arr[::-1])
+            a, top_a = _float_classes(self._whole(first), mod, False)
+            b, top_b = _float_classes(self._whole(second), mod, True)
         if top_a * top_b * (n + 1) >= _QUERY_GUARD:
             raise OverflowError("theta dot query could reach 2^53")
-        self._a, self._b, self._built = a, b, n
+        # pairs[t]: the classes r of a and s of b with r + s = t + mod carry
+        pairs = [[] for _ in range(mod)]
+        for r, x in a:
+            for s, y in b:
+                carry, t = divmod(r + s, mod)
+                pairs[t].append((x, y, carry))
+        self._a, self._b, self._pairs, self._built = a, b, pairs, n
 
     def _cached(self, blk: QuadForm, n: int) -> np.ndarray:
         """r(0..n) of blk from the cache, cut to n + 1 entries; anything
@@ -498,8 +527,18 @@ class RepQuery:
             self._build(self.prec if n > _PARTIAL_MAX else min(n, self.prec))
         if self._b is None:
             return int(self._a[m])
-        a, b = self._a[:m + 1], self._b[len(self._b) - 1 - m:]
-        dot = np.dot(a, b)
-        if dot >= _F32_EXACT and dot.dtype == np.float32:
-            dot = np.dot(a.astype(np.float64), b.astype(np.float64))
-        return int(dot)
+        pairs = self._pairs
+        k = m // len(pairs) + 1
+        total = 0
+        for a, b, carry in pairs[m % len(pairs)]:
+            # the terms a[i] b[j] with i + j = m // mod - carry: the first
+            # t entries of a against the last t of b, which is reversed
+            t = k - carry
+            if t:
+                a, b = a[:t], b[-t:]
+                dot = int(np.dot(a, b))
+                if dot >= _F32_EXACT and a.dtype == b.dtype == np.float32:
+                    dot = int(np.dot(a.astype(np.float64),
+                                     b.astype(np.float64)))
+                total += dot
+        return total

@@ -181,6 +181,19 @@ class TestHFactor:
         with pytest.raises(ValueError):
             h_factor(5, 3, 1, 5)
 
+    def test_refusal_raises_on_every_call(self):
+        """The memo keeps answers, not refusals: a refused call raises
+        again when asked again, and a good call is answered once."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a prime"):
+                h_factor(5, 9, 1, 4)
+            with pytest.raises(ValueError, match="divides"):
+                h_factor(960, 3, 1, 4)
+            assert h_factor(7, 11, 1, 4) == 111
+        # each of the four refused calls is a miss, and none is kept
+        info = h_factor.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 5, 1)
+
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("p", [9, 15, 1, 0, -3])
     def test_rejects_non_prime(self, p, k):

@@ -1,5 +1,6 @@
 import random
 import re
+from contextlib import contextmanager
 from itertools import product
 from math import isqrt
 from unittest import mock
@@ -824,9 +825,13 @@ class TestRepQuery:
                     query.count(prec)
                 return
             got = {m: query.count(m) for m in (prec, 0, 1, 4097)}
-        assert not (query._a.flags.writeable or query._b.flags.writeable)
-        # each half takes its own dtype from its own maximum
-        assert {int(h.max()): h.dtype for h in (query._a, query._b)} == \
+        # every stored class is read-only, in the dtype its half takes
+        # from its own maximum
+        classes = [cls for half in (query._a, query._b) for _, cls in half]
+        assert not any(cls.flags.writeable for cls in classes)
+        for half in (query._a, query._b):
+            assert len({int(cls.max()) for _, cls in half}) == 1
+        assert {int(cls.max()): cls.dtype for cls in classes} == \
             {a_max: np.float32, b_max: np.float64}
         a, b = (arr.tolist() for arr in built)
         assert got[prec] == theta._QUERY_GUARD - 1
@@ -885,13 +890,13 @@ class TestRepQuery:
         """The split of the blocks into halves, which decides which
         partial halves the search shares through _half: blocks by rank,
         largest first, each joining the half of lower rank (the first on
-        a tie)."""
+        a tie); the first is read forward, the second reversed."""
         seen = []
         real = theta._half
 
-        def recording(blocks, n):
-            seen.append((blocks, n))
-            return real(blocks, n)
+        def recording(blocks, n, reverse):
+            seen.append((blocks, n, reverse))
+            return real(blocks, n, reverse)
 
         with mock.patch.object(theta, "_half", recording):
             query = RepQuery(form, 2500)
@@ -900,22 +905,62 @@ class TestRepQuery:
                     for half in query._halves)
         assert got == halves
         if query._built < query.prec:
-            assert seen == [(query._halves[0], 64), (query._halves[1], 64)]
+            assert seen == [(query._halves[0], 64, False),
+                            (query._halves[1], 64, True)]
 
 
-def _int64_dot(query: RepQuery, top: int):
-    """r(m) for m <= top as the int64 dot of int64 halves that _product
-    makes afresh for query, not of the query's own float halves."""
+def _int64_halves(query: RepQuery, top: int):
+    """The int64 thetas through top of query's two halves, made afresh
+    by _product from dense sweeps, not read from the query."""
     a_int, b_int = (theta._product([theta._theta_sweep(blk, top)
                                     for blk in half], top)
                     for half in query._halves)
     assert a_int.dtype == b_int.dtype == np.int64
+    return a_int, b_int
+
+
+def _int64_dot(query: RepQuery, top: int):
+    """r(m) for m <= top as the int64 dot of int64 halves that _product
+    makes afresh for query, not of the query's own float classes."""
+    a_int, b_int = _int64_halves(query, top)
     return lambda m: int(np.dot(a_int[:m + 1], b_int[m::-1]))
 
 
-def _dot_dtypes(spy) -> list:
-    """The dtype of the first argument of every call an np.dot spy saw."""
-    return [call.args[0].dtype for call in spy.call_args_list]
+def _float32_halves(query: RepQuery) -> bool:
+    """Whether every class a two-half query stores is float32."""
+    return all(cls.dtype == np.float32
+               for half in (query._a, query._b) for _, cls in half)
+
+
+@contextmanager
+def _recorded_dots():
+    """Patch np.dot to record (dtype of its first argument, result) of
+    every call, into the list it yields."""
+    calls, real = [], np.dot
+
+    def recording(a, b):
+        calls.append((a.dtype, real(a, b)))
+        return calls[-1][1]
+
+    with mock.patch.object(np, "dot", recording):
+        yield calls
+
+
+def _recomputes(calls, threshold: int) -> list[bool]:
+    """For each float32 class dot of a query with float32 halves, whether
+    a float64 recompute follows it; asserts that every float64 dot is
+    such a recompute and that one follows exactly the dots at or past
+    threshold."""
+    out = []
+    for i, (dtype, dot) in enumerate(calls):
+        if dtype == np.float64:
+            assert i and calls[i - 1][0] == np.float32
+            continue
+        assert dtype == np.float32
+        again = i + 1 < len(calls) and calls[i + 1][0] == np.float64
+        assert again == (dot >= threshold)
+        out.append(again)
+    return out
 
 
 class TestFloatDotQueries:
@@ -936,7 +981,7 @@ class TestFloatDotQueries:
         with mock.patch.object(RepQuery, "count", recording):
             assert is_strongly_s_regular(form, bound).passed == passes
         (query,) = {q for q, _, _ in asked}
-        assert query._b.dtype == np.float32 and len(query._b) > 1
+        assert query._b is not None and _float32_halves(query)
         return query, [(m, val) for _, m, val in asked]
 
     def _check(self, form: QuadForm, bound: int, passes: bool):
@@ -957,30 +1002,48 @@ class TestFloatDotQueries:
         self._check(getattr(GENUS_PAIRS[name], side), 200, True)
 
     def test_recompute_past_2_24(self):
-        """r_4(3,243,240) = 24 sigma(3^4 5 7 11 13) = 23,417,856 (Jacobi)
-        is past 2^24, so the float32 dot is recomputed in float64."""
-        m = 3_243_240
+        """r_4(3,686,760) = 24 sigma(3^2 5 7^2 11 19) = 25,608,960
+        (Jacobi).  m = 0 (mod 8), so all four coordinates are even and
+        the halves x^2 + y^2 meet in classes 0 + 0 and 4 + 4 mod 8: two
+        class dots, 8,536,320 and 17,072,640, and only the second, past
+        2^24, is recomputed in float64."""
+        m = 3_686_760
         query = RepQuery(QuadForm.diagonal((1, 1, 1, 1)), m)
-        with mock.patch.object(np, "dot", wraps=np.dot) as spy:
-            assert query.count(m) == 23_417_856
-        assert query._a.dtype == query._b.dtype == np.float32
-        assert _dot_dtypes(spy) == [np.float32, np.float64]
+        with _recorded_dots() as calls:
+            assert query.count(m) == 25_608_960
+        assert _float32_halves(query)
+        assert _recomputes(calls, 1 << 24) == [False, True]
+        assert [int(dot) for _, dot in calls] == \
+            [8_536_320, 17_072_640, 17_072_640]
 
     def test_recompute_mends_a_rounded_dot(self):
-        """Flat odd halves 4097 and 4099 are float32, and their dot at
-        prec rounds in float32; the recompute returns the exact sum."""
-        prec = 6360
+        """Flat odd halves 4097 and 4099 are float32, and at prec, past
+        _CLASS_MIN, every class dot rounds in float32; the recomputes
+        return the exact sum.  Class r of a is a[r::8], class s of b is
+        b[s::8] reversed, and the dot at m pairs them when r + s = m
+        (mod 8)."""
+        prec = 40000
+        assert prec > theta._CLASS_MIN
 
         def flat_half(arrays, n):
             # the half of <1> has r(1) = 2, the half of <2> r(1) = 0
             r1 = theta._dense(arrays[0], n)[1]
             return np.full(n + 1, 4097 if r1 else 4099, dtype=np.int64)
 
-        with mock.patch.object(theta, "_product", flat_half):
+        with mock.patch.object(theta, "_product", flat_half), \
+                _recorded_dots() as calls:
             query = RepQuery(QuadForm.diagonal((1, 2)), prec)
             assert query.count(prec) == 4097 * 4099 * (prec + 1)
-        assert query._a.dtype == query._b.dtype == np.float32
-        assert int(np.dot(query._a, query._b)) != 4097 * 4099 * (prec + 1)
+        assert _float32_halves(query)
+        assert _recomputes(calls, 1 << 24) == [True] * theta._CLASSES
+        a, b = dict(query._a), dict(query._b)
+        mod = theta._CLASSES
+        for r in range(mod):
+            s = (prec - r) % mod
+            terms = (prec - r - s) // mod + 1
+            exact = 4097 * 4099 * terms
+            f32 = np.dot(a[r][:terms], b[s][len(b[s]) - terms:])
+            assert f32.dtype == np.float32 and int(f32) != exact
 
     @pytest.mark.parametrize("entry", CLASSIFICATION_TABLE,
                              ids=lambda e: ",".join(map(str, e.diagonal)))
@@ -994,10 +1057,12 @@ class TestFloatDotQueries:
         expect = _int64_dot(query, max(m for m, _ in asked))
         expected = [(m, val, expect(m)) for m, val in asked]
         with mock.patch.object(theta, "_F32_EXACT", 0), \
-                mock.patch.object(np, "dot", wraps=np.dot) as spy:
+                _recorded_dots() as calls:
             for m, val, ref in expected:
                 assert query.count(m) == val == ref, m
-        assert _dot_dtypes(spy) == [np.float32, np.float64] * len(asked)
+        # every class dot, at least one per query, is recomputed
+        recomputed = _recomputes(calls, 0)
+        assert len(recomputed) >= len(asked) and all(recomputed)
 
 
 def _memo_test_forms(rng: random.Random, count: int) -> list[QuadForm]:
@@ -1031,19 +1096,22 @@ class TestHalfMemo:
         assert query.count(10) == theta_coeffs(form, 10)[10]
         assert query._built == 64
         for half in (query._a, query._b):
+            ((r, cls),) = half  # a partial build is one class mod 1
+            assert r == 0
             with pytest.raises(ValueError):
-                half[0] = 5
+                cls[0] = 5
+        ((_, cls),), _ = theta._half(query._halves[0], 64, False)
         with pytest.raises(ValueError):
-            theta._half(query._halves[0], 64)[0][1] += 1
+            cls[1] += 1
         assert theta._half.cache_info().hits == 1
 
     def test_keys_are_partial_and_the_memo_bounded(self):
         seen = []
         real = theta._half
 
-        def recording(blocks, n):
+        def recording(blocks, n, reverse):
             seen.append((blocks, n))
-            return real(blocks, n)
+            return real(blocks, n, reverse)
 
         form = QuadForm.diagonal((1, 2, 3, 10))
         pair = GENUS_PAIRS["1,1,3,5"]
@@ -1127,9 +1195,78 @@ class TestHalfMemo:
             for built in (64, 256, 1024, 4096, prec):
                 query.count(built)
                 assert query._built == built
-                assert query._a.dtype == query._b.dtype == np.float32
+                assert _float32_halves(query)
                 for m in range(built + 1):
                     assert query.count(m) == expect(m), (form, m)
+
+
+class TestResidueClasses:
+    """Builds past _CLASS_MIN keep each half as its nonzero residue
+    classes mod theta._CLASSES (8): class r of a is a[r::8], class s of b
+    is b[s::8] reversed, and a query m dots the pairs with r + s = m."""
+
+    # <1,2,2,5> has the half <2,2>, which lives on classes 0, 2 and 4;
+    # x^2 + xy + 2y^2 + x^2 + xy + y^2 has a half on every class
+    FORMS = [QuadForm.diagonal((1, 2, 2, 5)),
+             QuadForm(((2, 1, 0, 0), (1, 4, 0, 0), (0, 0, 2, 1),
+                       (0, 0, 1, 2)))]
+
+    @pytest.mark.parametrize("prec", [36000, 40000])
+    def test_class_dots_match_int64_dots(self, prec):
+        """Right after the build at prec, m = 0..20 (where some pairs have
+        r + s > m) and 200 random m equal the int64 dot of _product
+        halves, on sums of two binary forms (odd cross terms included)
+        and on the two forms above; every class is stored exactly when
+        it is not all zero, and its entries are the theta's."""
+        assert prec > theta._CLASS_MIN
+        rng = random.Random(prec)
+        forms = _memo_test_forms(random.Random(3030), 16)[::2] + self.FORMS
+        mod = theta._CLASSES
+        for form in forms:
+            query = RepQuery(form, prec)
+            a_int, b_int = _int64_halves(query, prec)
+            asked = [prec, *range(21), *rng.sample(range(prec + 1), 200)]
+            for m in asked:
+                assert query.count(m) == np.dot(a_int[:m + 1], b_int[m::-1])
+            assert query._built == prec and _float32_halves(query)
+            for classes, arr, step in ((query._a, a_int, 1),
+                                       (query._b, b_int, -1)):
+                stored = dict(classes)
+                assert [r for r, _ in classes] == \
+                    [r for r in range(mod) if arr[r::mod].any()]
+                for r, cls in stored.items():
+                    assert cls.flags.c_contiguous
+                    assert cls.tolist() == arr[r::mod][::step].tolist()
+
+    def test_dropped_classes_are_not_stored(self):
+        """<2,2> is stored as its classes 0, 2 and 4 mod 8 alone; the half
+        x^2 + xy + 2y^2 keeps all eight."""
+        stored = []
+        for form in self.FORMS:
+            query = RepQuery(form, 40000)
+            query.count(40000)
+            stored.append({
+                tuple(blk.hessian for blk in half): [r for r, _ in classes]
+                for half, classes in zip(query._halves,
+                                         (query._a, query._b))})
+        assert stored[0][(((4,),), ((4,),))] == [0, 2, 4]
+        assert stored[1][(((2, 1), (1, 4)),)] == list(range(8))
+
+    def test_one_class_up_to_class_min(self):
+        """A build at prec up to _CLASS_MIN, like every partial build,
+        keeps each half as one class mod 1: forward for a, reversed for
+        b, and one dot per query."""
+        for form in self.FORMS:
+            query = RepQuery(form, theta._CLASS_MIN)
+            a_int, b_int = _int64_halves(query, query.prec)
+            expect = np.dot(a_int, b_int[::-1])
+            with _recorded_dots() as calls:
+                assert query.count(query.prec) == expect
+            assert len(calls) == 1 and query._built == query.prec
+            ((r, a),), ((s, b),) = query._a, query._b
+            assert (r, s) == (0, 0)
+            assert a.tolist() == a_int.tolist()
+            assert b.tolist() == b_int[::-1].tolist()
 
 
 _dense_arrays = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=60)
