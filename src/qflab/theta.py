@@ -5,12 +5,18 @@ the rows of the Bareiss elimination the form keeps, so every bound is
 an integer square root and no boundary case is ever lost to rounding.
 Every coordinate is one step on numpy arrays over the rows of a chunk,
 and the walker yields batches of rows: the tails x[1:], the exact range
-of the first coordinate and the integer quadratic on it.  `_spread` lays
-ragged ranges end to end and hands them out a chunk at a time, to each
-walker level that expands its rows and to `_theta_sweep`, which counts
-the values.  The walker's other reader, `_vectors_of_norm`, takes the
-vectors of one exact value from the range ends, for `represent_count`
-and the basis search of `reduction`.  Both walk the basis they are given.
+of the first coordinate and the integer quadratic on it.  Q(-v) = Q(v),
+so the walker lists one vector of each pair +-v, the one whose last
+nonzero coordinate is positive, and the zero vector once (Fincke and
+Pohst, Math. Comp. 44, 1985): a coordinate behind an all-zero tail runs
+over t >= 0 only, which halves every walk.  `_spread` lays ragged ranges
+end to end and hands them out a chunk at a time, to each walker level
+that expands its rows and to `_theta_sweep`, which counts the values and
+doubles every count but that of the zero vector.  The walker's other
+reader, `_vectors_of_norm`, takes the vectors of one exact value from
+the range ends and yields each batch with its negation, for
+`represent_count` and the basis search of `reduction`.  Both walk the
+basis they are given.
 
 `_theta` is the one builder of block thetas: `theta_coeffs`, both
 `RepQuery` halves and their memo `_half` take the theta of an orthogonal
@@ -126,10 +132,16 @@ def _spread(lo: np.ndarray, hi: np.ndarray):
 
 
 def _tails(form: QuadForm, bound: int):
-    """Every tail x[1:] of a vector x with Q(x) <= bound, in batches
+    """The sign-canonical vectors x with Q(x) <= bound, in batches
     (xs, lo, hi, a1, a0) of arrays over rows: row r of the 2-D array xs
-    is a tail, and Q(t, *xs[r]) = a2 t^2 + a1[r] t + a0[r], a2 = H[0][0]/2,
-    is at most bound exactly for lo[r] <= t < hi[r].
+    is a tail x[1:], and Q(t, *xs[r]) = a2 t^2 + a1[r] t + a0[r],
+    a2 = H[0][0]/2, is at most bound exactly for lo[r] <= t < hi[r].
+    Sign-canonical: the zero vector, and each nonzero x whose last
+    nonzero coordinate is positive, so x and -x are never both listed
+    and together with their negations the rows give every vector with
+    Q <= bound once.  The row whose tail is all zero is row 0 of the
+    first batch, with lo = 0; on every other row lo - 1 gives Q > bound,
+    and on every row hi does.
 
     With the Bareiss rows m the form keeps, D_i = m[i-1][i-1] (D_0 = 1)
     and l_i(x) = sum_{j>=i} m[i][j] x_j, 2 Q(x) = sum_i l_i^2 / (D_i D_{i+1}).
@@ -139,7 +151,10 @@ def _tails(form: QuadForm, bound: int):
     (D_i e - l_i^2) / D_{i+1} to x[i-1].  Each level is one step on
     arrays over all rows of a chunk, its bounds from the array square root
     `_isqrt`; levels >= 1 expand their rows' ranges with `_spread`, so a
-    chunk may start or end inside a row, and level 0 yields them.  The
+    chunk may start or end inside a row, and level 0 yields them.  At
+    every level the row whose tail is all zero is row 0 of the first
+    chunk, and its range is clipped to t >= 0: its t = 0 leads the next
+    level's first chunk, where the tail is again all zero.  The
     arrays are int64, or Python ints (dtype=object) when `_wide` says a
     value could pass int64.
     """
@@ -148,13 +163,16 @@ def _tails(form: QuadForm, bound: int):
     dtype = object if _wide(form, bound) else np.int64
     coeffs = [np.array(row[i + 1:], dtype=dtype) for i, row in enumerate(m)]
 
-    def level(i: int, xs: np.ndarray, e: np.ndarray):
-        # xs holds the rows' x[i+1:], e their budgets for x[i]
+    def level(i: int, xs: np.ndarray, e: np.ndarray, zero: bool):
+        # xs holds the rows' x[i+1:], e their budgets for x[i]; zero says
+        # that row 0's tail is all zero
         piv = m[i][i]
         n = xs @ coeffs[i]  # l_i without its x[i] term
         p = e * m[i - 1][i - 1] if i else e
         r = _isqrt(p)
         lo, hi = -((r + n) // piv), (r - n) // piv + 1
+        if zero:
+            lo[0] = 0  # x[i] >= 0 behind an all-zero tail
         if i == 0:
             yield xs, lo, hi, n, bound - (p - n * n) // (2 * piv)
             return
@@ -165,10 +183,11 @@ def _tails(form: QuadForm, bound: int):
             sub[:, 0] = t
             sub[:, 1:] = xs[rows].repeat(c, axis=0)
             yield from level(i - 1, sub,
-                             (p[rows].repeat(c) - ell * ell) // piv)
+                             (p[rows].repeat(c) - ell * ell) // piv, zero)
+            zero = False
 
     yield from level(k - 1, np.zeros((1, 0), dtype=dtype),
-                     np.full(1, 2 * bound * m[-1][-1], dtype=dtype))
+                     np.full(1, 2 * bound * m[-1][-1], dtype=dtype), True)
 
 
 class _Terms(NamedTuple):
@@ -236,7 +255,8 @@ def _reduced_blocks(form: QuadForm) -> tuple[QuadForm, ...]:
 
 def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
     """Counts of Q(v) = n for all n <= prec, in one walk of the basis
-    form is given in."""
+    form is given in: the walker's sign-canonical half counted, then
+    2 counts - 1 at n = 0, where the zero vector is its own negation."""
     a2 = form.hessian[0][0] // 2
     counts = np.zeros(prec + 1, dtype=np.int64)
     for _, lo, hi, a1, a0 in _tails(form, prec):
@@ -247,6 +267,8 @@ def _theta_sweep(form: QuadForm, prec: int) -> np.ndarray:
             del t
             q += a0[rows].repeat(c)
             np.add.at(counts, q.astype(np.int64, copy=False), 1)
+    counts *= 2  # v and -v, but the zero vector once
+    counts[0] -= 1
     return counts
 
 
@@ -386,16 +408,22 @@ def theta_coeffs(form: QuadForm, n_max: int) -> list[int]:
 
 
 def _vectors_of_norm(form: QuadForm, n: int):
-    """Every integer vector v with Q(v) = n, both signs, in batches: the
-    rows of 2-D arrays, in the walker's dtype.  Q is convex along a row
-    and at most n exactly on its range [lo, hi), so Q = n can only hold
-    at the two ends."""
+    """Every integer vector v with Q(v) = n, each once, in batches: the
+    rows of 2-D arrays, in the walker's dtype.  Each batch of the
+    walker's sign-canonical half is followed by its negation when n > 0;
+    n = 0 yields the zero vector alone.  Q is convex along a row and at
+    most n exactly on its range [lo, hi), so Q = n can only hold at the
+    two ends; on the all-zero tail's row, clipped to [0, hi), Q = a2 t^2
+    is 0 at t = 0."""
     a2 = form.hessian[0][0] // 2
     for xs, lo, hi, a1, a0 in _tails(form, n):
         last = hi - 1
         for t, keep in ((lo, lo <= last), (last, lo < last)):
             keep = np.flatnonzero(keep & ((a2 * t + a1) * t + a0 == n))
-            yield np.column_stack((t[keep], xs[keep]))
+            batch = np.column_stack((t[keep], xs[keep]))
+            yield batch
+            if n:
+                yield -batch
 
 
 def represent_count(form: QuadForm, n: int) -> int:

@@ -28,7 +28,7 @@ def int_det(m) -> int:
             for c in range(i + 1, n):
                 a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
         prev = a[i][i]
-    return sign * a[-1][-1]
+    return sign * a[-1][-1] if n else 1
 
 
 def bareiss_rows(h) -> list[list[int]]:
@@ -124,14 +124,16 @@ def eta_product(exponents, n: int) -> list[int]:
 def tails_theta(form, prec: int) -> list[int]:
     """Theta coefficients through q^prec on the form's own basis: one walk
     of theta._tails, every first coordinate of every row of every batch
-    counted in Python.  No reduction, no split into blocks, and no numpy
-    past reading the batches."""
+    counted in Python, a nonzero vector twice (for v and -v, which the
+    walker lists once) and the zero vector once.  No reduction, no split
+    into blocks, and no numpy past reading the batches."""
     a2 = form.hessian[0][0] // 2
     out = [0] * (prec + 1)
-    for _, *arrays in _tails(form, prec):
-        for lo, hi, a1, a0 in zip(*(arr.tolist() for arr in arrays)):
+    for xs, *arrays in _tails(form, prec):
+        for tail, lo, hi, a1, a0 in zip(xs.tolist(),
+                                        *(arr.tolist() for arr in arrays)):
             for t in range(lo, hi):
-                out[(a2 * t + a1) * t + a0] += 1
+                out[(a2 * t + a1) * t + a0] += 2 if t or any(tail) else 1
     return out
 
 

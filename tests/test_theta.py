@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from contextlib import contextmanager
@@ -25,9 +26,9 @@ from reference import (fraction_count, fraction_short_vectors, fraction_theta,
                        int_det, mul_trunc, tails_theta)
 
 
-def box(form: QuadForm, n: int):
-    """(v, Q(v)) over a box provably holding every v with Q(v) <= n: the
-    dual bound v_i^2 <= 2 n (H^{-1})_ii = 2 n cof_ii / det H."""
+def box_bounds(form: QuadForm, n: int) -> list[int]:
+    """b_i such that every v with Q(v) <= n has |v_i| <= b_i: the dual
+    bound v_i^2 <= 2 n (H^{-1})_ii = 2 n cof_ii / det H."""
     h = [list(r) for r in form.hessian]
     k = form.rank
     det = int_det(h)
@@ -37,8 +38,45 @@ def box(form: QuadForm, n: int):
                  for r in range(k) if r != i]
         cof = int_det(minor)
         bounds.append(isqrt((2 * n * cof) // det + 1) + 1)
-    for v in product(*(range(-b, b + 1) for b in bounds)):
+    return bounds
+
+
+def box(form: QuadForm, n: int):
+    """(v, Q(v)) over the box of box_bounds."""
+    for v in product(*(range(-b, b + 1) for b in box_bounds(form, n))):
         yield v, form.evaluate(v)
+
+
+def box_short(form: QuadForm, n: int) -> list[tuple[int, ...]]:
+    """Every v with Q(v) <= n, sorted: the box of box_bounds evaluated
+    at once in numpy, 2 Q(v) = v^T H v."""
+    grid = np.stack(np.meshgrid(*(np.arange(-b, b + 1)
+                                  for b in box_bounds(form, n)),
+                                indexing="ij"), axis=-1).reshape(-1, form.rank)
+    twice = np.einsum("vi,ij,vj->v", grid, np.array(form.hessian), grid)
+    return sorted(map(tuple, grid[twice <= 2 * n].tolist()))
+
+
+def canonical_rows(form: QuadForm, bound: int) -> list[tuple]:
+    """The rows (tail, lo, hi, a1, a0) of the walk of form to bound, as
+    Python ints, after checking its sign rule in the walk's own dtype:
+    the one row with an all-zero tail is row 0 of the first batch, with
+    lo = 0 < hi, and every other tail's last nonzero coordinate is
+    positive."""
+    dtype = object if theta._wide(form, bound) else np.int64
+    rows, zero_rows = [], []
+    for b, (xs, *arrays) in enumerate(_tails(form, bound)):
+        assert xs.dtype == dtype and all(a.dtype == dtype for a in arrays)
+        for r, (tail, lo, hi, a1, a0) in enumerate(zip(
+                map(tuple, xs.tolist()), *(a.tolist() for a in arrays))):
+            if any(tail):
+                assert next(c for c in reversed(tail) if c) > 0
+            else:
+                zero_rows.append((b, r))
+                assert lo == 0 < hi
+            rows.append((tail, lo, hi, a1, a0))
+    assert zero_rows == [(0, 0)], form.hessian
+    return rows
 
 
 def norm_vectors(form: QuadForm, n: int) -> list[tuple[int, ...]]:
@@ -407,18 +445,40 @@ class TestTails:
     @settings(max_examples=60, deadline=None)
     def test_ranges_are_exact(self, k, seed, bound):
         """Each t in [lo, hi) of each row of each batch gives Q <= bound
-        with the yielded quadratic; lo - 1 and hi give Q > bound."""
+        with the yielded quadratic, and hi gives Q > bound.  The row whose
+        tail is all zero is row 0 of the first batch and has lo = 0; on
+        every other row lo - 1 gives Q > bound.  The listed vectors are
+        sign-canonical, and with their negations they are every vector
+        of the box oracle with Q <= bound, each once."""
         form = random_definite(random.Random(seed), k)
         a2 = form.hessian[0][0] // 2
-        for xs, *arrays in _tails(form, bound):
-            for tail, lo, hi, a1, a0 in zip(map(tuple, xs.tolist()),
-                                            *(arr.tolist() for arr in arrays)):
-                assert len(tail) == k - 1
-                for t in range(lo, hi):
-                    q = form.evaluate((t, *tail))
-                    assert q <= bound and q == (a2 * t + a1) * t + a0
+        listed = []
+        for tail, lo, hi, a1, a0 in canonical_rows(form, bound):
+            assert len(tail) == k - 1
+            for t in range(lo, hi):
+                q = form.evaluate((t, *tail))
+                assert q <= bound and q == (a2 * t + a1) * t + a0
+                listed.append((t, *tail))
+            assert form.evaluate((hi, *tail)) > bound
+            if any(tail):
                 assert form.evaluate((lo - 1, *tail)) > bound
-                assert form.evaluate((hi, *tail)) > bound
+        both = listed + [tuple(-c for c in v) for v in listed if any(v)]
+        assert sorted(both) == box_short(form, bound)
+
+    @pytest.mark.parametrize("form, prec, digest", [
+        (A4, 4000, "772c4177e45851490b72f77af4a69b8f"
+                   "31f5baecb4199f9d5e19e5f5db260f07"),
+        (QuadForm(((6, -2, 2), (-2, 10, 2), (2, 2, 10))), 22500,
+         "0757d2944ecb04d712a917184e0f9f7f"
+         "376d2a7683a458a85ac7191a235b4ab5"),
+    ], ids=["A4", "ternary"])
+    def test_theta_array_goldens(self, form, prec, digest):
+        """The sha256 of the int64 little-endian bytes of _theta_array,
+        pinned from a walker that listed both v and -v.  tails_theta
+        reads the walker under test, so these digests are the check
+        that does not depend on it."""
+        arr = theta._theta_array(form, prec).astype("<i8")
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == digest
 
     def test_leaf_constant_beyond_int64(self):
         """The leaf budget reaches 2 bound H[0][0] = 4e19 here, past int64;
@@ -450,8 +510,9 @@ class TestBatchedLevels:
 
     def test_widened_walk(self):
         """Level-1 budgets past int64 widen the arrays to Python ints, and
-        the points are still found; so does a skewed binary whose
-        coordinates and a0 = c^2 + 1 pass int64 while D_1 D_2 stays small."""
+        the points are still found and clipped as on int64; so does a
+        skewed binary whose coordinates and a0 = c^2 + 1 pass int64 while
+        D_1 D_2 stays small."""
         c = 2**40
         skewed = QuadForm(((2, 2 * c), (2 * c, 2 * c * c + 2)))
         for form, bound in ((QuadForm(((2, 1), (1, 2 * 10**17))), 100),
@@ -469,12 +530,16 @@ class TestBatchedLevels:
         stays below 2^38 and the coordinates and a0 below 2^6.  The
         basis is skewed by the all-ones upper triangle, so that the outer
         levels have nonzero offsets.  Reduction would split these forms;
-        the walk is of the skewed basis itself."""
+        the walk is of the skewed basis itself.  With _FLUSH a few values
+        as well, the chunks of the Python-int levels start and end
+        inside rows, and only the first one is clipped."""
         k = len(diag)
         skew = [[int(r <= c) for c in range(k)] for r in range(k)]
         form = conjugated(QuadForm.diagonal(diag), skew)
         assert theta._wide(form, 50)
         self._check_against_fractions(form, 50)
+        with mock.patch.object(theta, "_FLUSH", 3):
+            self._check_against_fractions(form, 50)
 
     def test_bundled_blocks_stay_int64(self):
         """The sweeps the suites and the cache make stay on int64."""
@@ -511,6 +576,9 @@ class TestBatchedLevels:
 
     @staticmethod
     def _check_against_fractions(form: QuadForm, prec: int):
+        """The walk's sign rule (canonical_rows), then the sweep and the
+        exact-norm reader against the Fraction walker."""
+        canonical_rows(form, prec)
         assert theta._theta_sweep(form, prec).tolist() == \
             fraction_theta(form, prec), form.hessian
         for n in range(prec + 1):
@@ -559,6 +627,33 @@ class TestVectors:
         assert vectors == fraction_norm_vectors(form, 30)
         assert [len(vecs) for vecs in vectors] == \
             [represent_count(form, n) for n in range(31)]
+
+    @pytest.mark.parametrize("k, cap", [(1, 200), (2, 80), (3, 30), (4, 12)])
+    def test_no_vector_twice(self, k, cap):
+        """Each vector of each norm comes once, and together they are the
+        box oracle's vectors up to the cap."""
+        rng = random.Random(8700 + k)
+        for _ in range(3):
+            form = random_definite(rng, k)
+            yielded = [tuple(v) for n in range(cap + 1)
+                       for batch in theta._vectors_of_norm(form, n)
+                       for v in batch.tolist()]
+            assert len(yielded) == len(set(yielded)), form.hessian
+            assert sorted(yielded) == box_short(form, cap), form.hessian
+
+    @pytest.mark.parametrize("form, dtype", [
+        (QuadForm.diagonal((3,)), np.int64),
+        (QuadForm.diagonal((1, 2, 3, 10)), np.int64),
+        (A4, np.int64),
+        (QuadForm(((2**32, 1), (1, 2))), object),
+    ], ids=["unary", "diagonal", "A4", "object"])
+    def test_norm_zero_is_the_zero_vector(self, form, dtype):
+        """n = 0 yields the zero vector once, and no negated batch, on
+        int64 and on Python ints (H[0][0] = 2^32 widens even bound 0)."""
+        batches = list(theta._vectors_of_norm(form, 0))
+        assert all(batch.dtype == dtype for batch in batches)
+        assert [v for batch in batches for v in batch.tolist()] == \
+            [[0] * form.rank]
 
 
 class TestRepQuery:
